@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import argparse
 import importlib.util
+import inspect
 import sys
 from collections.abc import Callable
 from pathlib import Path
@@ -312,6 +313,11 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _accepts(runner: Callable, kwarg: str) -> bool:
+    """Whether ``runner`` takes a parameter named ``kwarg``."""
+    return kwarg in inspect.signature(runner).parameters
+
+
 def _runner_kwargs(args: argparse.Namespace, runner: Callable) -> dict:
     """Translate the shared experiment options into runner kwargs."""
     kwargs = {}
@@ -319,7 +325,7 @@ def _runner_kwargs(args: argparse.Namespace, runner: Callable) -> dict:
         raw = getattr(args, option, None)
         if raw is None:
             continue
-        if kwarg not in runner.__code__.co_varnames:
+        if not _accepts(runner, kwarg):
             raise ReproError(
                 f"{args.experiment} does not accept --"
                 f"{option.replace('_', '-')}")
@@ -345,7 +351,7 @@ def _run_experiment(args: argparse.Namespace) -> str:
             # processes would record into the void
             note = ("note: --telemetry records in-process; running "
                     "serially\n")
-        elif "parallel" not in runner.__code__.co_varnames:
+        elif not _accepts(runner, "parallel"):
             note = (f"note: {args.experiment} has no parallel cell "
                     f"plan; running serially\n")
         else:
@@ -401,8 +407,7 @@ def _pool_summary(stats) -> str:
         return ""
     line = (f"\npool (last fan-out): {stats.workers} worker(s), "
             f"utilisation {stats.mean_utilisation():.0%}, "
-            f"{stats.ipc_bytes_shipped:,} B shipped over IPC, "
-            f"{stats.shm_bytes:,} B shared once via shm")
+            f"{stats.ipc_bytes_shipped:,} B shipped over IPC")
     if stats.respawns:
         line += f", {stats.respawns} respawn(s)"
     return line
@@ -440,7 +445,7 @@ def _run_monitor(args: argparse.Namespace) -> int:
     # the live bus and recorder are process-wide, and the golden
     # live == post-hoc parity needs every decision in-process: force a
     # serial, cold (no warm-start forking), uncached run
-    if "warm_start" in runner.__code__.co_varnames:
+    if _accepts(runner, "warm_start"):
         kwargs["warm_start"] = False
     slos = []
     if args.slo_latency_p95 is not None:

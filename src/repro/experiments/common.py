@@ -20,8 +20,10 @@ cell — and :func:`attach_controller` puts each cell's mode on its fork:
         ...measure sut...
 
 Forked cells are bit-identical to cold runs that re-simulate the prefix
-from scratch (golden traces and property tests pin this), and the
-captured base pickles across the ``repro run --parallel N`` spawn pool.
+from scratch (golden traces and property tests pin this).  Captures stay
+inside the process that made them: a ``repro run --parallel N`` fan-out
+ships each worker its cell's scalar parameters, and any warm-up fork
+happens inside the worker.
 """
 
 from __future__ import annotations
@@ -273,21 +275,8 @@ def capture_system(sut: SystemUnderTest) -> SimState:
 
 
 def fork_system(base: SimState) -> SystemUnderTest:
-    """Materialise one independent system from a captured warm prefix.
-
-    Restoring also seeds this process's dataset cache with the
-    capture's dataset — in a pool worker that dataset is backed by the
-    run's shared-memory segments, so any later cold :func:`build_system`
-    in the same worker reuses it instead of regenerating megabytes of
-    columns.  Datasets are immutable by contract (the forked arrays are
-    read-only views), so seeding can never change results.
-    """
-    sut = base.restore()
-    dataset = getattr(sut, "dataset", None)
-    if isinstance(dataset, TpchDataset):
-        _DATASETS.setdefault(
-            (dataset.scale, dataset.sim_scale, dataset.seed), dataset)
-    return sut
+    """Materialise one independent system from a captured warm prefix."""
+    return base.restore()
 
 
 def warm_system(engine: str = "monetdb", *,

@@ -14,10 +14,8 @@ from dataclasses import dataclass, field
 
 from ..analysis.report import render_table
 from ..db.clients import repeat_stream
-from ..sim.state import SimState
 from ..sim.tracing import MigrationRecord
-from .common import (SystemUnderTest, attach_controller, build_system,
-                     fork_system, warm_system)
+from .common import build_system
 from .fig05_migration_os import ThreadTimeline, collect_timelines
 
 MODES = (None, "dense", "sparse", "adaptive")
@@ -59,10 +57,16 @@ class Fig16Result:
             self.rows(), title="Fig 16 - single-client Q6 migration maps")
 
 
-def _measure_cell(sut: SystemUnderTest, mode: str | None,
-                  repetitions: int, warmup: int) -> Fig16Cell:
-    """Attach ``mode``, warm the controller, then trace."""
-    attach_controller(sut, mode)
+def run_cell(mode: str | None, repetitions: int = 2, warmup: int = 4,
+             scale: float = 0.01, sim_scale: float = 1.0) -> Fig16Cell:
+    """Trace one configuration on a freshly built system.
+
+    ``warmup`` repetitions let the controller reach its steady
+    allocation before tracing starts (the paper's runs are similarly
+    warm).
+    """
+    sut = build_system(engine="monetdb", mode=mode, scale=scale,
+                       sim_scale=sim_scale, record_placements=True)
     if warmup:
         sut.run_clients(1, repeat_stream("q6", warmup))
         sut.os.tracer.clear()
@@ -78,54 +82,22 @@ def _measure_cell(sut: SystemUnderTest, mode: str | None,
     )
 
 
-def run_cell(mode: str | None, repetitions: int = 2, warmup: int = 4,
-             scale: float = 0.01, sim_scale: float = 1.0) -> Fig16Cell:
-    """Trace one configuration on a fresh (cold-built) system."""
-    sut = build_system(engine="monetdb", mode=None, scale=scale,
-                       sim_scale=sim_scale, record_placements=True)
-    return _measure_cell(sut, mode, repetitions, warmup)
-
-
-def run_cell_warm(base: SimState, mode: str | None, repetitions: int = 2,
-                  warmup: int = 4) -> Fig16Cell:
-    """Trace one configuration forked from a captured build prefix."""
-    return _measure_cell(fork_system(base), mode, repetitions, warmup)
-
-
 def run(repetitions: int = 2, warmup: int = 4, scale: float = 0.01,
-        sim_scale: float = 1.0, parallel: int = 1,
-        warm_start: bool | None = None) -> Fig16Result:
+        sim_scale: float = 1.0, parallel: int = 1) -> Fig16Result:
     """Trace single-client Q6 under each configuration.
 
-    ``warmup`` repetitions let the controller reach its steady allocation
-    before tracing starts (the paper's runs are similarly warm); being
-    controller-driven they are mode-specific, so the warm path forks at
-    the build stage only.  A build-stage fork saves nothing serially (a
-    cold build costs less than a capture/restore round trip), so
-    ``warm_start=None`` resolves to forking only when ``parallel > 1`` —
-    there the capture ships once through the spawn pool and the ordered
-    merge keeps the exported trace records byte-identical to a serial
-    cold run (the golden-trace fixture pins this).
+    Every cell builds its own system, so ``parallel > 1`` ships each
+    worker only the cell's parameters, and the ordered merge keeps the
+    exported trace records byte-identical to a serial run (the
+    golden-trace fixture pins this).
     """
     from ..runner.pool import Task, run_tasks
 
     result = Fig16Result()
-    if warm_start is None:
-        warm_start = parallel > 1
-    if warm_start:
-        base = warm_system(scale=scale, sim_scale=sim_scale,
-                           record_placements=True)
-        tasks = [Task(
-            "repro.experiments.fig16_migration_modes:run_cell_warm",
-            dict(base=base, mode=mode, repetitions=repetitions,
-                 warmup=warmup))
-            for mode in MODES]
-    else:
-        tasks = [Task("repro.experiments.fig16_migration_modes:run_cell",
-                      dict(mode=mode, repetitions=repetitions,
-                           warmup=warmup, scale=scale,
-                           sim_scale=sim_scale))
-                 for mode in MODES]
+    tasks = [Task("repro.experiments.fig16_migration_modes:run_cell",
+                  dict(mode=mode, repetitions=repetitions,
+                       warmup=warmup, scale=scale, sim_scale=sim_scale))
+             for mode in MODES]
     cells = run_tasks(tasks, parallel=parallel)
     for mode, cell in zip(MODES, cells):
         result.cells[mode or "OS"] = cell

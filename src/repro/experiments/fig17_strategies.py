@@ -17,9 +17,7 @@ from dataclasses import dataclass, field
 
 from ..analysis.report import render_table
 from ..db.clients import repeat_stream
-from ..sim.state import SimState
-from .common import attach_controller, build_system, fork_system, \
-    warm_system
+from .common import build_system
 
 MODES = ("dense", "sparse", "adaptive")
 STRATEGIES = ("cpu_load", "ht_imc")
@@ -66,8 +64,14 @@ class Fig17Result:
             title="Fig 17 - transition strategies on single-client Q6")
 
 
-def _measure(sut, repetitions: int, warmup: int) -> Fig17Cell:
-    """Warm the controller to its steady allocation, then measure."""
+def run_cell(mode: str | None, strategy: str = "cpu_load",
+             repetitions: int = 3, warmup: int = 5, scale: float = 0.01,
+             sim_scale: float = 1.0) -> Fig17Cell:
+    """One freshly built configuration cell; ``mode=None`` is the OS
+    baseline.  ``warmup`` repetitions bring the controller to its
+    steady allocation before measuring."""
+    sut = build_system(engine="monetdb", mode=mode, strategy=strategy,
+                       scale=scale, sim_scale=sim_scale)
     if warmup:
         sut.run_clients(1, repeat_stream("q6", warmup))
     sut.mark()
@@ -80,39 +84,12 @@ def _measure(sut, repetitions: int, warmup: int) -> Fig17Cell:
     )
 
 
-def run_cell(mode: str | None, strategy: str = "cpu_load",
-             repetitions: int = 3, warmup: int = 5, scale: float = 0.01,
-             sim_scale: float = 1.0) -> Fig17Cell:
-    """One cold-built configuration cell; ``mode=None`` is the OS
-    baseline."""
-    sut = build_system(engine="monetdb", mode=None, scale=scale,
-                       sim_scale=sim_scale)
-    attach_controller(sut, mode,
-                      strategy=strategy if mode else "cpu_load")
-    return _measure(sut, repetitions, warmup)
-
-
-def run_cell_warm(base: SimState, mode: str | None,
-                  strategy: str = "cpu_load", repetitions: int = 3,
-                  warmup: int = 5) -> Fig17Cell:
-    """One configuration cell forked from a captured build prefix."""
-    sut = fork_system(base)
-    attach_controller(sut, mode,
-                      strategy=strategy if mode else "cpu_load")
-    return _measure(sut, repetitions, warmup)
-
-
 def run(repetitions: int = 3, warmup: int = 5, scale: float = 0.01,
-        sim_scale: float = 1.0, parallel: int = 1,
-        warm_start: bool | None = None) -> Fig17Result:
+        sim_scale: float = 1.0, parallel: int = 1) -> Fig17Result:
     """Run the OS baseline plus each (mode, strategy) pair.
 
-    The warm-up phase runs under each cell's own (mode, strategy)
-    controller, so the shared prefix is the build stage: the warm path
-    captures one built system and forks all seven cells from it.
-    ``warm_start=None`` resolves to forking only when ``parallel > 1``
-    (a build-stage fork saves nothing serially; across the spawn pool
-    the capture ships once instead of each worker rebuilding).
+    Every cell builds its own system, so ``parallel > 1`` ships each
+    worker only the cell's parameters.
     """
     from ..runner.pool import Task, run_tasks
 
@@ -120,20 +97,11 @@ def run(repetitions: int = 3, warmup: int = 5, scale: float = 0.01,
     keys: list[tuple[str | None, str]] = [(None, "-")]
     keys.extend((mode, strategy) for strategy in STRATEGIES
                 for mode in MODES)
-    if warm_start is None:
-        warm_start = parallel > 1
-    if warm_start:
-        base = warm_system(scale=scale, sim_scale=sim_scale)
-        tasks = [Task("repro.experiments.fig17_strategies:run_cell_warm",
-                      dict(base=base, mode=mode, strategy=strategy,
-                           repetitions=repetitions, warmup=warmup))
-                 for mode, strategy in keys]
-    else:
-        tasks = [Task("repro.experiments.fig17_strategies:run_cell",
-                      dict(mode=mode, strategy=strategy,
-                           repetitions=repetitions, warmup=warmup,
-                           scale=scale, sim_scale=sim_scale))
-                 for mode, strategy in keys]
+    tasks = [Task("repro.experiments.fig17_strategies:run_cell",
+                  dict(mode=mode, strategy=strategy,
+                       repetitions=repetitions, warmup=warmup,
+                       scale=scale, sim_scale=sim_scale))
+             for mode, strategy in keys]
     cells = run_tasks(tasks, parallel=parallel)
     for (mode, strategy), cell in zip(keys, cells):
         result.cells[(mode or "OS", strategy)] = cell

@@ -6,10 +6,8 @@ thread ids per cell), runs one configuration and returns a plain result
 record.  Cells therefore parallelise embarrassingly: :mod:`.pool` fans
 them across persistent spawn-safe worker processes and merges results in
 submission order, so a parallel run is bit-identical to the serial one.
-:mod:`.shm` publishes each run's immutable bulk atoms (TPC-H columns,
-warm-start snapshot payloads) into shared-memory segments exactly once,
-so a forked cell ships kilobytes of digest references per task instead
-of re-pickling the dataset.
+A task carries only the cell's scalar parameters, never captured state,
+so it pickles to a few hundred bytes.
 
 :mod:`.bench` wall-times the experiment suite (``repro bench``), writes a
 ``BENCH_<rev>.json`` snapshot under ``benchmarks/results/`` and compares
@@ -24,7 +22,6 @@ from .bench import (BENCH_SUITE, QUICK_SUITE, BenchReport, SweepSnapshot,
 from .cache import ResultCache, configure, current, tree_fingerprint
 from .pool import (PoolStats, Task, TaskError, configure_cost_hints,
                    last_pool_stats, resolve, run_tasks, task_cost_key)
-from .shm import AtomClient, SharedAtomStore, ShippedAtoms
 
 __all__ = [
     "Task",
@@ -35,9 +32,6 @@ __all__ = [
     "last_pool_stats",
     "configure_cost_hints",
     "task_cost_key",
-    "SharedAtomStore",
-    "AtomClient",
-    "ShippedAtoms",
     "ResultCache",
     "configure",
     "current",

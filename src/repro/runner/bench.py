@@ -231,11 +231,9 @@ class SweepSnapshot:
                          f"{self.cpu_count} core(s)"])
         if self.pool:
             shipped = int(self.pool.get("ipc_bytes_shipped", 0) or 0)
-            shm = int(self.pool.get("shm_bytes", 0) or 0)
             util = float(self.pool.get("mean_utilisation", 0.0) or 0.0)
             rows.append(["(pool)", "", "",
-                         f"util {util:.0%}, {shipped:,} B IPC, "
-                         f"{shm:,} B shm"])
+                         f"util {util:.0%}, {shipped:,} B IPC"])
         return render_table(
             ["experiment", "wall s", "events/s", "score (calibrated)"],
             rows,

@@ -1,4 +1,4 @@
-"""Persistent spawn-worker pool with zero-copy shared atoms.
+"""Persistent spawn-worker pool for cell fan-out.
 
 Tasks name their function as a ``"module:attr"`` spec string instead of
 a bare callable: spec strings pickle under every start method, survive
@@ -10,11 +10,11 @@ faster to start but inherits the parent's dataset cache, open telemetry
 recorders and heap layout — ``spawn`` guarantees every worker starts
 from the same cold, deterministic state a serial run starts from.
 
-Workers are **long-lived**: each attaches the run's
-:class:`~repro.runner.shm.SharedAtomStore` once, imports experiment
-modules once, and keeps its warmed dataset cache across tasks — a
-warm-start cell ships kilobytes of digest references instead of
-re-pickling the dataset per task.  Every result is tagged with its
+Tasks carry scalar cell parameters, never captured simulation state:
+each cell builds what it needs inside its worker, so a task pickles to
+a few hundred bytes and tasks and results travel as plain pickles.
+Workers are **long-lived**: each imports experiment modules once and
+keeps its dataset cache across tasks.  Every result is tagged with its
 submission index, so merging is positional and parallel output stays
 bit-identical to serial regardless of completion order.
 
@@ -23,8 +23,8 @@ Dispatch is **straggler-aware**: with per-task timings installed
 or a bench run's own serial pass), tasks dispatch longest-expected-first
 so the slowest cell never starts last; unknown cells go first (they
 *could* be the longest).  Each parallel execution records a
-:class:`PoolStats` — per-worker utilisation, shipped IPC bytes, shared-
-memory bytes — retrievable via :func:`last_pool_stats`.
+:class:`PoolStats` — per-worker utilisation and shipped IPC bytes —
+retrievable via :func:`last_pool_stats`.
 
 A failing task raises :class:`TaskError` carrying the task's ``fn``
 spec, its canonicalised kwargs and the worker's traceback; a *crashing*
@@ -47,8 +47,6 @@ from multiprocessing import get_context
 from typing import Any
 
 from ..errors import ReproError
-from .shm import (SharedAtomStore, collect_shareable_atoms,
-                  dumps_with_atoms, loads_with_atoms)
 
 _PROTOCOL = pickle.HIGHEST_PROTOCOL
 
@@ -152,11 +150,11 @@ class PoolStats:
     workers: int = 0
     wall_seconds: float = 0.0
     tasks: int = 0
-    #: pickled task payloads sent to workers (after atom externalising)
+    #: pickled task payloads sent to workers
     ipc_task_bytes: int = 0
     #: pickled result payloads received from workers
     ipc_result_bytes: int = 0
-    #: bytes published once into shared-memory segments
+    #: always 0: tasks ship parameters only (kept for existing readers)
     shm_bytes: int = 0
     respawns: int = 0
     #: worker id -> seconds spent executing tasks
@@ -193,7 +191,6 @@ class PoolStats:
             "ipc_bytes_shipped": self.ipc_bytes_shipped,
             "ipc_task_bytes": self.ipc_task_bytes,
             "ipc_result_bytes": self.ipc_result_bytes,
-            "shm_bytes": self.shm_bytes,
             "respawns": self.respawns,
             "worker_utilisation": self.worker_utilisation(),
             "mean_utilisation": self.mean_utilisation(),
@@ -232,10 +229,9 @@ def run_tasks(tasks: Iterable[Task], parallel: int = 1,
     ``parallel <= 1`` (or a single task) short-circuits to a plain
     serial loop in this process — no pool, no pickling, no import
     indirection beyond :func:`resolve`.  Larger values fan tasks across
-    at most ``parallel`` persistent spawn workers: shared atoms publish
-    once over shared memory, dispatch is longest-expected-first, and
-    results merge back by submission index so parallel output is
-    bit-identical to serial.
+    at most ``parallel`` persistent spawn workers: dispatch is
+    longest-expected-first, and results merge back by submission index
+    so parallel output is bit-identical to serial.
 
     ``cache`` accepts a :class:`~repro.runner.cache.ResultCache`,
     ``True`` (the default store), ``False`` (off even when a
@@ -346,17 +342,13 @@ def _dispatch_order(keys: list[str],
     return sorted(range(len(keys)), key=rank)
 
 
-def _worker_main(worker_id: int, task_queue: Any, result_queue: Any,
-                 handle: Any) -> None:
-    """Long-lived worker loop: attach the atom store once, then serve.
+def _worker_main(worker_id: int, task_queue: Any,
+                 result_queue: Any) -> None:
+    """Long-lived worker loop: serve tasks until the sentinel.
 
     Replies ``("done", worker id, index, ok, payload, seconds)`` per
-    task; a ``None`` sentinel shuts the worker down.  Results pickle
-    with attached atoms externalised back to digests, so bulk data
-    never travels the result pipe either.
+    task; a ``None`` sentinel shuts the worker down.
     """
-    from .shm import AtomClient
-    client = AtomClient(handle)
     while True:
         item = task_queue.get()
         if item is None:
@@ -364,9 +356,8 @@ def _worker_main(worker_id: int, task_queue: Any, result_queue: Any,
         index, payload = item
         start = time.perf_counter()
         try:
-            task = loads_with_atoms(payload, client.get)
-            value = _invoke(task)
-            body = dumps_with_atoms(value, client.index)
+            value = _invoke(pickle.loads(payload))
+            body = pickle.dumps(value, protocol=_PROTOCOL)
             ok = True
         except Exception as exc:
             body = pickle.dumps(_failure_info(exc), protocol=_PROTOCOL)
@@ -399,21 +390,14 @@ def _run_pool(task_list: list[Task], workers: int, context: Any,
     order = deque(_dispatch_order(keys, hints))
     outcomes: list[_Outcome | None] = [None] * len(task_list)
     start_wall = time.perf_counter()
-    atom_store = SharedAtomStore()
     result_queue = context.Queue()
     procs: dict[int, Any] = {}
     queues: dict[int, Any] = {}
     try:
-        atoms: list[Any] = []
-        for task in task_list:
-            atoms.extend(collect_shareable_atoms(task.kwargs))
-        atom_store.publish(atoms)
-        stats.shm_bytes = atom_store.segment_bytes
         payloads: dict[int, bytes] = {}
         for index, task in enumerate(task_list):
             try:
-                payloads[index] = dumps_with_atoms(task,
-                                                   atom_store.index)
+                payloads[index] = pickle.dumps(task, protocol=_PROTOCOL)
             except (pickle.PicklingError, AttributeError,
                     TypeError) as exc:
                 described = _describe_kwargs(task.kwargs)
@@ -421,7 +405,6 @@ def _run_pool(task_list: list[Task], workers: int, context: Any,
                     f"task {task.fn!r} cannot be shipped to a worker: "
                     f"{exc}\n  kwargs: {described}",
                     fn=task.fn, kwargs=described) from exc
-        handle = atom_store.handle()
 
         pending = set(range(len(task_list)))
         assigned: dict[int, int] = {}  # worker id -> in-flight index
@@ -437,7 +420,7 @@ def _run_pool(task_list: list[Task], workers: int, context: Any,
             task_queue = context.Queue()
             proc = context.Process(
                 target=_worker_main,
-                args=(wid, task_queue, result_queue, handle),
+                args=(wid, task_queue, result_queue),
                 daemon=True)
             proc.start()
             procs[wid] = proc
@@ -527,7 +510,7 @@ def _run_pool(task_list: list[Task], workers: int, context: Any,
                 stats.task_seconds[keys[index]] = seconds
                 if ok:
                     try:
-                        value = loads_with_atoms(body, atom_store.get)
+                        value = pickle.loads(body)
                     except Exception as exc:
                         outcomes[index] = _Outcome(failure={
                             "message": (
@@ -566,5 +549,4 @@ def _run_pool(task_list: list[Task], workers: int, context: Any,
                     terminate()
                     proc.join(timeout=1.0)
         stats.wall_seconds = time.perf_counter() - start_wall
-        atom_store.close()
         _LAST_STATS = stats

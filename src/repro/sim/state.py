@@ -24,9 +24,9 @@ Two mechanisms make the capture faithful *and* cheap:
   forked run hands out the same thread ids as an uninterrupted one.
 
 A :class:`SimState` is itself picklable (payload bytes + shared tuple +
-plain values), so snapshots travel across the spawn pool: the parent warms
-one system, and ``repro run --parallel N`` ships the capture to workers
-that fork their cells from it.
+plain values), but the parallel runner never ships one: a fan-out sends
+each worker scalar cell parameters, and a worker that forks cells from a
+warm-up prefix captures that prefix itself.
 """
 
 from __future__ import annotations

@@ -43,6 +43,17 @@ def test_run_rejects_inapplicable_option(capsys):
     assert "does not accept" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("experiment", ["multi-tenant", "fig18",
+                                        "morsel"])
+def test_run_rejects_option_named_like_a_local(experiment, capsys):
+    # these runners use a local called ``engine`` but take no such
+    # parameter: the check must read the signature, not the locals
+    code = main(["run", experiment, "--engine", "monetdb"])
+    assert code == 2
+    assert (f"{experiment} does not accept --engine"
+            in capsys.readouterr().err)
+
+
 def test_run_parses_users_tuple(capsys):
     code = main(["run", "fig13", "--users", "1,2", "--repetitions", "1",
                  "--scale", "0.004", "--sim-scale", "0.125"])

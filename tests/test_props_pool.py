@@ -7,27 +7,21 @@ process spawn per example):
 
 * results always land in submission order, whatever the durations;
 * a worker crash (a ``SystemExit`` escaping the worker loop, exactly
-  like a hard process death) fails only the task it was running;
-* shared-memory segments are always unlinked on exit, including on
-  exception paths.
-
-``conftest.py`` verifies at session end that ``/dev/shm`` carries no
-``repro_`` segments, so every test here doubles as a leak check.
+  like a hard process death) fails only the task it was running.
 """
 
 from __future__ import annotations
 
-import os
 import queue
 import threading
 import time
 
-import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.runner.pool as pool_mod
-from repro.runner.pool import PoolStats, Task, _run_pool
+from repro.runner.pool import PoolStats, Task, TaskError, _run_pool
 
 _SPEC = "tests.test_props_pool:_work"
 
@@ -85,14 +79,6 @@ class _ThreadContext:
         return queue.Queue()
 
 
-def _leaked_segments() -> list[str]:
-    try:
-        return [name for name in os.listdir("/dev/shm")
-                if name.startswith("repro_")]
-    except FileNotFoundError:
-        return []
-
-
 _actions = st.sampled_from(["ok", "ok", "ok", "raise", "crash"])
 _durations = st.floats(min_value=0.0, max_value=0.005)
 _plans = st.lists(st.tuples(_actions, _durations), min_size=1,
@@ -121,7 +107,6 @@ def test_outcomes_land_in_submission_slots(plan, workers):
     ok_count = sum(1 for o in outcomes
                    if o is not None and o.failure is None)
     assert ok_count == sum(1 for a, _ in plan if a == "ok")
-    assert _leaked_segments() == []
 
 
 @settings(max_examples=20, deadline=None)
@@ -149,23 +134,14 @@ def test_one_crash_fails_only_its_task(plan, workers, crash_at):
         # the pool replaced the dead worker while work remained, or
         # finished on the survivors; either way it never wedged
         assert stats.tasks == len(plan) - 1
-    assert _leaked_segments() == []
 
 
-@settings(max_examples=15, deadline=None)
-@given(fail_fast=st.booleans(),
-       workers=st.integers(min_value=1, max_value=3),
-       n_tasks=st.integers(min_value=1, max_value=6))
-def test_segments_unlink_even_when_tasks_fail(fail_fast, workers,
-                                              n_tasks):
-    # a big array forces real segments; the failing task exercises the
-    # abort/teardown path with segments live
-    arr = np.arange(40_000, dtype=np.float64)
-    tasks = [Task(_SPEC, dict(index=i, action="raise", payload=arr))
-             for i in range(n_tasks)]
-    _run_pool(tasks, min(workers, n_tasks), _ThreadContext(),
-              fail_fast=fail_fast)
-    assert _leaked_segments() == []
+def test_unpicklable_kwargs_fail_at_ship_time_with_identity():
+    tasks = [Task(_SPEC, dict(index=0)),
+             Task(_SPEC, dict(index=1, payload=lambda: None))]
+    with pytest.raises(TaskError, match="cannot be shipped") as info:
+        _run_pool(tasks, 2, _ThreadContext())
+    assert info.value.fn == _SPEC
 
 
 def test_dispatch_respects_cost_hints_longest_first():

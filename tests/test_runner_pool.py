@@ -88,8 +88,7 @@ def test_dispatch_order_ranks_unknown_then_longest():
 
 def test_pool_stats_utilisation_and_dict_shape():
     stats = PoolStats(workers=2, wall_seconds=2.0, tasks=4,
-                      ipc_task_bytes=100, ipc_result_bytes=50,
-                      shm_bytes=4096)
+                      ipc_task_bytes=100, ipc_result_bytes=50)
     stats.busy_seconds = {0: 1.0, 1: 2.5}  # 2.5 > wall: clamped
     stats.worker_tasks = {0: 1, 1: 3}
     util = stats.worker_utilisation()
@@ -99,7 +98,7 @@ def test_pool_stats_utilisation_and_dict_shape():
     data = stats.as_dict()
     assert data["ipc_bytes_shipped"] == 150
     assert data["worker_utilisation"] == util
-    assert data["shm_bytes"] == 4096
+    assert "shm_bytes" not in data  # tasks ship parameters only
     assert json.dumps(data)  # snapshot-serialisable
 
 
@@ -226,8 +225,7 @@ def test_run_bench_rejects_unknown_experiments():
 def test_report_pool_telemetry_roundtrips_and_tolerates_absence():
     report = _report("ccc", 3.0, {"fig13": 10.0})
     stats = PoolStats(workers=2, wall_seconds=1.0, tasks=2,
-                      ipc_task_bytes=10, ipc_result_bytes=5,
-                      shm_bytes=2048)
+                      ipc_task_bytes=10, ipc_result_bytes=5)
     stats.busy_seconds = {0: 0.4, 1: 0.6}
     stats.worker_tasks = {0: 1, 1: 1}
     stats.task_seconds = {"deadbeefdeadbeef": 0.5}
