@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from array import array
 from collections.abc import Iterable, Sequence
+from itertools import groupby
 
 from ..errors import HardwareError
 from .topology import Topology
@@ -42,6 +43,27 @@ UNPLACED_PATTERN = array("h", [UNPLACED]).tobytes()
 def home_run(node: int, n: int) -> array:
     """An ``array('h')`` of ``n`` cells all set to ``node`` (slice fill)."""
     return array("h", [node]) * n
+
+
+def home_runs(homes: array, run: range) -> list[tuple[int, range]]:
+    """Split a contiguous allocated ``run`` into uniform-home pieces.
+
+    Returns ``(home, pages)`` pairs in page order, each ``pages`` the
+    longest sub-range whose pages all share ``home`` in the home map
+    ``homes`` (:data:`UNPLACED` included).  A uniform run is detected
+    with one ``bytes`` comparison; a mixed one is grouped in C.
+    """
+    span = homes[run.start:run.stop]
+    span_bytes = span.tobytes()
+    if span_bytes == span_bytes[:2] * len(span):
+        return [(span[0], run)] if span else []
+    pieces = []
+    start = run.start
+    for node, group in groupby(span):
+        stop = start + len(list(group))
+        pieces.append((node, range(start, stop)))
+        start = stop
+    return pieces
 
 
 class MemorySystem:
@@ -150,22 +172,16 @@ class MemorySystem:
 
     def free(self, pages: Iterable[int]) -> None:
         """Return pages to the system (intermediates being dropped)."""
+        home = self._home
         if (type(pages) is range and pages.step == 1
                 and 0 <= pages.start and pages.stop <= self._next_page):
-            n = pages.stop - pages.start
-            if n:
-                # uniform runs (one query's intermediates usually share a
-                # home) release with one comparison and one fill
-                span_bytes = self._home[pages.start:pages.stop].tobytes()
-                if span_bytes == span_bytes[:2] * n:
-                    node = self._home[pages.start]
-                    if node != UNPLACED:
-                        self._pages_per_node[node] -= n
-                        self._home[pages.start:pages.stop] = home_run(
-                            UNPLACED, n)
-                    return
-            # mixed homes: the per-page loop below handles the range
-        home = self._home
+            # one fill per uniform-home piece (one query's intermediates
+            # usually share a home)
+            for node, run in home_runs(home, pages):
+                if node != UNPLACED:
+                    self._pages_per_node[node] -= len(run)
+                    home[run.start:run.stop] = home_run(UNPLACED, len(run))
+            return
         next_page = self._next_page
         per_node = self._pages_per_node
         for page in pages:
@@ -198,17 +214,9 @@ class MemorySystem:
         """
         if (type(pages) is range and pages.step == 1
                 and 0 <= pages.start and pages.stop <= self._next_page):
-            n = pages.stop - pages.start
-            span = self._home[pages.start:pages.stop]
-            span_bytes = span.tobytes()
-            if span_bytes == span_bytes[:2] * n:
-                # uniform run (one allocation's pages share a home, or
-                # none placed yet): the histogram is one entry
-                return {span[0]: n} if n else {}
             histogram: dict[int, int] = {}
-            hist_get = histogram.get
-            for node in span:
-                histogram[node] = hist_get(node, 0) + 1
+            for node, run in home_runs(self._home, pages):
+                histogram[node] = histogram.get(node, 0) + len(run)
             # report unplaced first, then nodes ascending — the order
             # the bincount-based implementation exposed
             return {node: histogram[node] for node in sorted(histogram)}

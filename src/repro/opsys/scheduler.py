@@ -22,7 +22,7 @@ from collections import deque
 
 from ..config import SchedulerConfig
 from ..errors import SchedulerError
-from ..hardware.machine import AccessResult, Machine
+from ..hardware.machine import Machine
 from ..obs.metrics import TIME_BUCKETS
 from ..obs.recorder import NULL_RECORDER
 from ..sim.engine import Simulator
@@ -33,23 +33,6 @@ from .inventory import DEFAULT_TENANT
 from .thread import SimThread, ThreadState
 from .vm import VirtualMemory
 from .workitem import WorkItem
-
-
-def _merge_access(a, b):
-    """Combine two AccessResults from one chunk (reads then writes).
-
-    Kept for API compatibility and tests; the scheduler's own chunk path
-    (:meth:`Scheduler._execute`) sums the fields it needs directly and
-    never allocates the merged object.
-    """
-    return AccessResult(
-        stall_time=a.stall_time + b.stall_time,
-        hits=a.hits + b.hits,
-        misses=a.misses + b.misses,
-        remote_misses=a.remote_misses + b.remote_misses,
-        bytes_local=a.bytes_local + b.bytes_local,
-        bytes_remote=a.bytes_remote + b.bytes_remote,
-    )
 
 
 class _TenantMaskListener:
@@ -414,9 +397,8 @@ class Scheduler:
                     faults += touch_pages(writes, node, thread)
                 n_batch = writes_from + len(writes)
                 if writes:
-                    # reads then writes, summed field-by-field — the same
-                    # arithmetic _merge_access performs, minus the
-                    # AccessResult allocation per chunk
+                    # reads then writes, summed field by field with no
+                    # merged AccessResult allocated per chunk
                     read_result = (touch(now, core, reads)
                                    if writes_from else None)
                     write_result = machine.touch_write(now, core, writes)

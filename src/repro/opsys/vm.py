@@ -16,11 +16,12 @@ The per-page "which nodes mapped this" state is a dense ``bytearray``
 bitmask indexed by page id (bit ``n`` = node ``n``), mirroring the dense
 home map in :mod:`repro.hardware.memory`.  The hot
 :meth:`VirtualMemory.touch_pages` call — one per execution chunk —
-receives contiguous page ranges from the scheduler; fault detection runs
-as one ``bytes.translate`` + ``count`` over the bitmask slice, and the
-common uniform-home batches resolve placement and the residency
-histogram in O(1).  Irregular inputs take the per-page path with
-identical semantics.
+takes the batch's contiguous runs from :func:`repro.pages.page_runs`
+and resolves each one on its own: fault detection runs as one
+``bytes.translate`` + ``count`` over the bitmask slice, and a
+uniform-home run resolves placement and the residency histogram in
+O(1).  Mixed-home runs, runs outside the allocated page space and
+scattered batches take the per-page path with identical semantics.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from ..errors import HardwareError
 from ..hardware.machine import Machine
 from ..hardware.memory import (UNPLACED, UNPLACED_PATTERN as
                                _UNPLACED_PATTERN, home_run)
-from ..pages import PageSegments, VECTOR_MIN_PAGES
+from ..pages import VECTOR_MIN_PAGES, page_runs
 from .thread import SimThread
 
 
@@ -92,27 +93,19 @@ class VirtualMemory:
         number of minor faults raised is returned and counted per node.
         """
         memory = self.machine.memory
-        if (type(pages) is range and pages.step == 1
-                and len(pages) >= VECTOR_MIN_PAGES
-                and 0 <= pages.start
-                and pages.stop <= memory._next_page
-                and 0 <= node < self.machine.topology.n_sockets):
-            faults = self._touch_range(pages, node, thread, memory)
-        elif (type(pages) is PageSegments
-                and len(pages) >= VECTOR_MIN_PAGES
-                and 0 <= node < self.machine.topology.n_sockets
-                and all(type(run) is range and run.step == 1 and len(run)
-                        and 0 <= run.start
-                        and run.stop <= memory._next_page
-                        for run in pages._segments)):
-            # piecewise-contiguous footprint: each run takes the bulk
-            # path on its own (mapping state commits run by run, so a
-            # page shared between runs still faults at most once)
-            faults = 0
-            for run in pages._segments:
-                faults += self._touch_range(run, node, thread, memory)
-        else:
+        runs = (page_runs(pages)
+                if (len(pages) >= VECTOR_MIN_PAGES
+                    and 0 <= node < self.machine.topology.n_sockets)
+                else None)
+        if runs is None:
             faults = self._touch_each(pages, node, thread, memory)
+        else:
+            # each contiguous run takes the bulk path on its own (mapping
+            # state commits run by run, so a page shared between runs
+            # still faults at most once)
+            faults = 0
+            for run in runs:
+                faults += self._touch_range(run, node, thread, memory)
         if faults:
             self._f_minor.add(node, faults)
         if self.numa_balancing:
@@ -127,9 +120,12 @@ class VirtualMemory:
         one piece, or a warm range re-streamed from any node — have a
         *uniform* home-map run, detected with one ``bytes`` comparison.
         Those resolve with no per-page work at all; mixed-home ranges
-        fall back to the per-page loop unchanged.
+        and runs outside the allocated page space fall back to the
+        per-page loop unchanged.
         """
         start, stop = pages.start, pages.stop
+        if not (0 <= start and stop <= memory._next_page):
+            return self._touch_each(pages, node, thread, memory)
         n = stop - start
         mapped = self._mapped_span(stop)
         segment = bytes(mapped[start:stop])
@@ -254,22 +250,21 @@ class VirtualMemory:
 
     def forget(self, pages: Sequence[int]) -> None:
         """Drop mapping state and free the pages (intermediates released)."""
-        if type(pages) is PageSegments:
-            for run in pages._segments:
-                self.forget(run)
-            return
-        if type(pages) is range and pages.step == 1 and len(pages):
-            stop = min(pages.stop, len(self._mapped))
-            begin = max(pages.start, 0)
-            if begin < stop:
-                self._mapped[begin:stop] = bytes(stop - begin)
-        else:
+        runs = page_runs(pages)
+        if runs is None:
             mapped = self._mapped
             n = len(mapped)
             for page in pages:
                 if 0 <= page < n:
                     mapped[page] = 0
-        self.machine.memory.free(pages)
+            self.machine.memory.free(pages)
+            return
+        for run in runs:
+            stop = min(run.stop, len(self._mapped))
+            begin = max(run.start, 0)
+            if begin < stop:
+                self._mapped[begin:stop] = bytes(stop - begin)
+            self.machine.memory.free(run)
 
     def nodes_mapping(self, page: int) -> list[int]:
         """Which nodes have mapped ``page`` so far."""

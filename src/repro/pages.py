@@ -1,15 +1,19 @@
 """Page-footprint sequences shared by the DB, OS and hardware layers.
 
-:class:`PageSegments` lives in its own dependency-free module because it
-is the *interface type* between layers: query compilation
-(:mod:`repro.db.cost`) produces it, work items carry it, and both the
-virtual-memory layer and the machine's cache model pattern-match on it
-to stream each contiguous run with their array fast paths.  Placing it
-under :mod:`repro.opsys` or :mod:`repro.db` would force the hardware
-layer to import upward.
+A page batch is a step-1 :class:`range` (one contiguous run), a
+:class:`PageSegments` (several runs) or anything else (scattered
+pages).  :func:`page_runs` is the only code that tells these apart; the
+VM and the machine's cache model stream the runs it returns with their
+array fast paths.  The module is dependency-free because it is the
+interface type between layers: query compilation (:mod:`repro.db.cost`)
+produces the runs and work items carry them, so placing it under
+:mod:`repro.opsys` or :mod:`repro.db` would force the hardware layer to
+import upward.
 """
 
 from __future__ import annotations
+
+from collections.abc import Sequence
 
 from .errors import SchedulerError
 
@@ -34,6 +38,10 @@ class PageSegments:
     element order of the flat concatenation, so chunked execution
     (:meth:`repro.opsys.workitem.WorkItem.take_reads`) never degrades a
     footprint into per-page work.
+
+    Every run is a non-empty step-1 :class:`range`; anything else is
+    rejected at construction, so consumers of :func:`page_runs` never
+    re-check a run's type.
     """
 
     __slots__ = ("_segments", "_starts", "_len")
@@ -43,6 +51,11 @@ class PageSegments:
         starts = []
         total = 0
         for segment in self._segments:
+            if not (type(segment) is range and segment.step == 1
+                    and len(segment)):
+                raise SchedulerError(
+                    f"page runs must be non-empty step-1 ranges, "
+                    f"got {segment!r}")
             starts.append(total)
             total += len(segment)
         self._starts = starts
@@ -103,3 +116,17 @@ class PageSegments:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<PageSegments {self._segments!r}>"
+
+
+def page_runs(pages) -> Sequence[range] | None:
+    """The contiguous runs of a page batch in page order, or ``None``
+    for scattered pages (a list, a strided range).  Runs are not
+    bounds-checked: each consumer checks them against its page space.
+    """
+    if type(pages) is range:
+        if pages.step != 1:
+            return None
+        return (pages,) if pages else ()
+    if type(pages) is PageSegments:
+        return pages._segments
+    return None

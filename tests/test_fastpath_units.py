@@ -120,13 +120,6 @@ def _opnames(fn):
     return {instruction.opname for instruction in dis.get_instructions(fn)}
 
 
-def test_merge_access_does_not_import_in_the_hot_path():
-    """AccessResult is imported at module level, not per merge call."""
-    from repro.opsys.scheduler import _merge_access
-
-    assert "IMPORT_NAME" not in _opnames(_merge_access)
-
-
 def test_execute_does_not_import_in_the_hot_path():
     assert "IMPORT_NAME" not in _opnames(Scheduler._execute)
 
