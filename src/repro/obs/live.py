@@ -123,13 +123,16 @@ class P2Quantile:
 
     Five markers track (min, q/2, q, (1+q)/2, max); marker heights are
     adjusted with a piecewise-parabolic fit as observations arrive.
-    Exact for the first five observations, O(1) memory after.
+    Exact for the first five observations, O(1) memory after. The
+    sketch also counts the observations equal to its minimum and its
+    maximum, so a marker whose rank falls among those copies holds the
+    extreme exactly instead of creeping toward it by interpolation.
     ``value()`` is ``None`` while empty — an empty window has no
     quantile, and callers must not invent one.
     """
 
     __slots__ = ("q", "_heights", "_positions", "_desired", "_rates",
-                 "count")
+                 "count", "_low_ties", "_high_ties")
 
     def __init__(self, q: float):
         if not 0.0 < q < 1.0:
@@ -140,6 +143,7 @@ class P2Quantile:
         self._desired = [1.0, 1 + 2 * q, 1 + 4 * q, 3 + 2 * q, 5.0]
         self._rates = [0.0, q / 2, q, (1 + q) / 2, 1.0]
         self.count = 0
+        self._low_ties = self._high_ties = 0
 
     def observe(self, value: float) -> None:
         """Fold one observation into the sketch."""
@@ -148,8 +152,19 @@ class P2Quantile:
         if self.count <= 5:
             heights.append(float(value))
             heights.sort()
+            if self.count == 5:
+                self._low_ties = heights.count(heights[0])
+                self._high_ties = heights.count(heights[4])
             return
         positions = self._positions
+        if value < heights[0]:
+            self._low_ties = 1
+        elif value == heights[0]:
+            self._low_ties += 1
+        if value > heights[4]:
+            self._high_ties = 1
+        elif value == heights[4]:
+            self._high_ties += 1
         # locate the cell and clamp the extremes
         if value < heights[0]:
             heights[0] = float(value)
@@ -180,6 +195,13 @@ class P2Quantile:
                 else:
                     heights[i] = self._linear(i, step)
                 positions[i] += step
+        # a marker ranked among the copies of an extreme is that extreme
+        low_rank, high_rank = self._low_ties, self.count - self._high_ties
+        for i in (1, 2, 3):
+            if positions[i] <= low_rank:
+                heights[i] = heights[0]
+            elif positions[i] > high_rank:
+                heights[i] = heights[4]
 
     def _parabolic(self, i: int, step: float) -> float:
         h, n = self._heights, self._positions

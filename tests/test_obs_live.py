@@ -97,6 +97,18 @@ class TestP2Quantile:
             sketch.observe((i * 37 % 1000) / 1000.0)
         assert sketch.value() == pytest.approx(0.5, abs=0.05)
 
+    def test_markers_ranked_among_extreme_copies_hold_the_extreme(self):
+        # interpolation toward a late 1001 would lift the median above
+        # 1000, though 49 of the 50 observations are 1000
+        median = P2Quantile(0.5)
+        for v in [1000.0] * 47 + [1001.0, 1000.0, 1000.0]:
+            median.observe(v)
+        assert median.value() == 1000.0
+        low = P2Quantile(0.05)
+        for i in range(50):
+            low.observe(1000.0 if i % 4 else 1000.0 + 37 * i)
+        assert low.value() == 1000.0
+
     def test_p95_of_uniform_stream(self):
         sketch = P2Quantile(0.95)
         for i in range(1000):
