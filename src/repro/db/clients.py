@@ -13,6 +13,7 @@ from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, field
 
 from ..errors import WorkloadError
+from ..units import left_sum
 from .engine import DatabaseEngine
 from .volcano import QueryExecution
 
@@ -54,7 +55,7 @@ class WorkloadResult:
         values = self.latencies(query_name)
         if not values:
             return 0.0
-        return sum(values) / len(values)
+        return left_sum(values) / len(values)
 
 
 class ClientPool:

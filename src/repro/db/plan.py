@@ -21,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..errors import PlanError
+from ..units import left_sum
 from .catalog import Catalog
 from .cost import CostModel
 from .operators import (Aggregate, Distinct, Filter, IndexLookup, Join,
@@ -61,7 +62,7 @@ class QueryProfile:
     @property
     def total_cycles(self) -> float:
         """Total compute across all stages."""
-        return sum(s.cycles for s in self.stages)
+        return left_sum(s.cycles for s in self.stages)
 
 
 class _Out:

@@ -172,14 +172,18 @@ def run(users: tuple[int, ...] = DEFAULT_USERS, repetitions: int = 4,
 
     result = Fig13Result(users=users)
     if warm_start:
+        # a group's cost grows with its user count: fanned out, the
+        # largest goes first so the longest task never starts last (the
+        # merge is keyed, so submission order does not reach the result)
+        order = sorted(users, reverse=True) if parallel > 1 else users
         groups = run_tasks(
             [Task("repro.experiments.fig13_scheduling:run_group",
                   dict(users=n, repetitions=repetitions, scale=scale,
                        sim_scale=sim_scale))
-             for n in users],
+             for n in order],
             parallel=parallel)
         by_key = {(mode, n): cell
-                  for n, group in zip(users, groups)
+                  for n, group in zip(order, groups)
                   for mode, cell in zip(MODES, group)}
     else:
         keys = [(mode, n) for mode in MODES for n in users]

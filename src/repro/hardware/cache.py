@@ -6,11 +6,18 @@ balancer arrive at a socket whose L3 does not hold their pages and must pull
 everything over the interconnect again (§II-B2, §V-A1).  A page-granular LRU
 reproduces exactly that behaviour without simulating cache lines.
 
-Residency is a plain ``dict`` whose insertion order *is* the recency
-order (coldest first): a hit re-inserts its key at the back, a miss
-evicts the front.  Plain-dict operations beat ``OrderedDict``'s linked
-list on every hot operation, and batch paths can rebuild the dict with
-C-level iteration instead of popping pages one by one.
+Residency is **run-length encoded**: an ordered list of disjoint step-1
+page ranges, coldest first, plus a page count.  The concatenation of the
+runs *is* the LRU order.  The access path streams page runs, so a hit
+cuts a sub-run out of its resident run and appends it at the back, and a
+miss drops whole runs (or a run's head) from the front and appends one
+run — O(runs) work per sub-run instead of O(pages).  Appending a run
+that continues the hottest one merges the two, so a streamed scan stays
+one run however many batches it spans.
+
+:meth:`repro.hardware.machine.Machine.touch` inlines the miss half of
+this bookkeeping in its batch walk; :meth:`SharedCache.access` is the
+one-page form of the same walk.
 
 Private L1/L2 effects are folded into the operators' cycles-per-byte
 constants (see :mod:`repro.db.cost`); only the shared L3 is stateful.
@@ -19,6 +26,7 @@ constants (see :mod:`repro.db.cost`); only the shared L3 is stateful.
 from __future__ import annotations
 
 from ..errors import HardwareError
+from ..pages import ascending_runs, page_runs
 
 
 class SharedCache:
@@ -29,40 +37,39 @@ class SharedCache:
             raise HardwareError("cache capacity must be at least one page")
         self.capacity_pages = capacity_pages
         self.socket_id = socket_id
-        #: page id -> None, insertion-ordered coldest to hottest
-        self._resident: dict[int, None] = {}
+        #: disjoint resident page runs, coldest first; their
+        #: concatenation is the LRU order
+        self._runs: list[range] = []
+        #: resident pages (the runs' total length)
+        self._size = 0
         self.hits = 0
         self.misses = 0
         self.evictions = 0
 
     def __contains__(self, page: int) -> bool:
-        return page in self._resident
+        for run in self._runs:
+            if page in run:
+                return True
+        return False
 
     def __len__(self) -> int:
-        return len(self._resident)
+        return self._size
 
     def access(self, page: int) -> bool:
         """Touch one page.  Returns ``True`` on hit, ``False`` on miss.
 
         A miss inserts the page, evicting the least recently used resident
         page when the cache is full.
-
-        .. note:: :meth:`repro.hardware.machine.Machine.touch` inlines this
-           probe (and the hit/miss/eviction accounting) in its fast path;
-           any behaviour change here must be mirrored there.
         """
-        resident = self._resident
-        if page in resident:
-            # re-insert at the back: the plain-dict move_to_end
-            del resident[page]
-            resident[page] = None
-            self.hits += 1
-            return True
+        for index, run in enumerate(self._runs):
+            if page in run:
+                self._hit(index, page, page + 1)
+                self.hits += 1
+                return True
         self.misses += 1
-        if len(resident) >= self.capacity_pages:
-            del resident[next(iter(resident))]
+        if self._size >= self.capacity_pages:
             self.evictions += 1
-        resident[page] = None
+        self._miss(page, page + 1)
         return False
 
     def access_many(self, pages) -> tuple[int, int]:
@@ -73,30 +80,104 @@ class SharedCache:
                 hits += 1
         return hits, len(pages) - hits
 
+    def _hit(self, index: int, start: int, stop: int) -> None:
+        """Move resident pages ``[start, stop)``, all inside run
+        ``index``, to the hot end: the run keeps what lies either side."""
+        runs = self._runs
+        run = runs[index]
+        if run.start < start:
+            if stop < run.stop:
+                runs[index:index + 1] = (range(run.start, start),
+                                         range(stop, run.stop))
+            else:
+                runs[index] = range(run.start, start)
+        elif stop < run.stop:
+            runs[index] = range(stop, run.stop)
+        else:
+            del runs[index]
+        if runs and runs[-1].stop == start:
+            runs[-1] = range(runs[-1].start, stop)
+        else:
+            runs.append(range(start, stop))
+
+    def _miss(self, start: int, stop: int) -> None:
+        """Insert non-resident pages ``[start, stop)`` at the hot end,
+        evicting the coldest pages that overflow the capacity."""
+        runs = self._runs
+        size = self._size
+        capacity = self.capacity_pages
+        overflow = size + (stop - start) - capacity
+        if overflow >= size:
+            # the run alone fills the cache: it keeps the last pages
+            runs[:] = (range(stop - capacity, stop),)
+            self._size = capacity
+            return
+        if overflow > 0:
+            size -= overflow
+            while overflow:
+                head = runs[0]
+                if len(head) <= overflow:
+                    overflow -= len(head)
+                    del runs[0]
+                else:
+                    runs[0] = head[overflow:]
+                    overflow = 0
+        if runs and runs[-1].stop == start:
+            runs[-1] = range(runs[-1].start, stop)
+        else:
+            runs.append(range(start, stop))
+        self._size = size + stop - start
+
     def invalidate(self, pages) -> int:
-        """Drop specific pages (e.g. on writer invalidation); returns count."""
-        resident = self._resident
-        if not resident:
+        """Drop specific pages (e.g. on writer invalidation); returns the
+        number of distinct resident pages dropped."""
+        runs = self._runs
+        if not runs:
             return 0
-        # set intersection walks ``pages`` in C; only actual victims are
-        # then deleted (typically none — cross-socket sharing is rare)
-        common = resident.keys() & pages
-        for page in common:
-            del resident[page]
-        return len(common)
+        victims = page_runs(pages)
+        if victims is None:
+            victims = ascending_runs(sorted(set(pages)))
+        dropped = 0
+        for victim in victims:
+            lo, hi = victim.start, victim.stop
+            for run in runs:
+                if run.start < hi and lo < run.stop:
+                    break
+            else:
+                # the common case: cross-socket sharing is rare
+                continue
+            kept = []
+            for run in runs:
+                start, stop = run.start, run.stop
+                if start < hi and lo < stop:
+                    dropped += min(stop, hi) - max(start, lo)
+                    if start < lo:
+                        kept.append(range(start, lo))
+                    if hi < stop:
+                        kept.append(range(hi, stop))
+                else:
+                    kept.append(run)
+            runs[:] = kept
+        self._size -= dropped
+        return dropped
 
     def flush(self) -> None:
         """Empty the cache."""
-        self._resident.clear()
+        self._runs.clear()
+        self._size = 0
 
     def resident_pages(self) -> list[int]:
         """Resident page ids from coldest to hottest."""
-        return list(self._resident)
+        return [page for run in self._runs for page in run]
+
+    def resident_runs(self) -> list[range]:
+        """Resident page runs from coldest to hottest."""
+        return list(self._runs)
 
     @property
     def occupancy(self) -> float:
         """Fraction of capacity currently resident."""
-        return len(self._resident) / self.capacity_pages
+        return self._size / self.capacity_pages
 
     def hit_ratio(self) -> float:
         """Lifetime hit ratio; 0.0 before any access."""

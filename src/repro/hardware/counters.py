@@ -14,17 +14,20 @@ Storage is **per family**: each counter name owns a compact
 This replaces the original flat ``(name, index) -> float`` dict, whose
 ``total()``/``by_index()`` had to scan *every* counter of *every*
 family on each monitor tick.  Family reductions now touch only that
-family's C-contiguous array — and ``sum()`` over an ``array('d')`` adds
-left-to-right exactly like the old generator expression, so totals are
-bit-identical (slot order *is* the old dict's family-restricted
-insertion order).  Snapshots copy the value arrays (one C memcpy per
-family) and alias the slot maps, which only ever grow; batch consumers
-may grab a zero-copy numpy view via :meth:`CounterBank.family_values`.
+family's C-contiguous array — and :func:`~repro.units.left_sum` over an
+``array('d')`` adds left-to-right exactly like the old generator
+expression, so totals are bit-identical (slot order *is* the old
+dict's family-restricted insertion order).  Snapshots copy the value
+arrays (one C memcpy per family) and alias the slot maps, which only
+ever grow; batch consumers may grab a zero-copy numpy view via
+:meth:`CounterBank.family_values`.
 """
 
 from __future__ import annotations
 
 from array import array
+
+from ..units import left_sum
 
 
 class _Family:
@@ -88,7 +91,7 @@ class CounterSnapshot:
         family = self._families.get(name)
         if family is None:
             return 0.0
-        return sum(family[1])
+        return left_sum(family[1])
 
     def by_index(self, name: str) -> dict:
         """Family values keyed by index (e.g. per-socket L3 misses)."""
@@ -226,14 +229,14 @@ class CounterBank:
     def total(self, name: str) -> float:
         """Sum of one counter family across all indices.
 
-        O(family), not O(all counters): ``sum`` over the packed array
-        adds left-to-right in slot (= insertion) order, bit-identical to
+        O(family), not O(all counters): ``left_sum`` over the packed
+        array adds left-to-right in slot (= insertion) order, bit-identical to
         the flat-dict scan this layout replaced.
         """
         family = self._families.get(name)
         if family is None:
             return 0.0
-        return sum(family.values)
+        return left_sum(family.values)
 
     def by_index(self, name: str) -> dict:
         """Family values keyed by index (e.g. per-socket L3 misses)."""

@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..config import MachineConfig
+from ..units import left_sum
 from .counters import CounterSnapshot
 from .topology import Topology
 
@@ -55,8 +56,8 @@ class EnergyModel:
         dynamic_watts = config.acp_watts - idle_watts
         total = 0.0
         for node in topology.all_nodes():
-            busy = sum(busy_time_by_core.get(core, 0.0)
-                       for core in topology.cores_of_node(node))
+            busy = left_sum(busy_time_by_core.get(core, 0.0)
+                            for core in topology.cores_of_node(node))
             utilisation = min(busy / (topology.cores_per_socket * elapsed),
                               1.0)
             total += elapsed * (idle_watts + dynamic_watts * utilisation)

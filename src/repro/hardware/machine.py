@@ -6,16 +6,23 @@ streams through.  It resolves each page against the executing socket's L3,
 charges DRAM/interconnect time for misses, and writes every likwid-style
 counter the controller and the experiment harnesses later read.
 
-There is one access path: the batch is split into uniform-home pieces
-(:func:`repro.pages.page_runs`, then :func:`repro.hardware.memory.home_runs`)
-and each piece either commits in bulk — all-miss, placed, bank-paced — or
-runs the per-page loop, with bit-identical results either way.
+There is one access path, and it works on page runs throughout.  A batch
+becomes step-1 runs (:func:`repro.pages.page_runs`, or the maximal
+ascending runs of a scattered list), each run splits into uniform-home
+pieces (:func:`repro.hardware.memory.home_runs`; pages outside the
+allocated space form pieces of their own), and each piece is walked as
+alternating hit and miss sub-runs against the socket's run-length L3
+(:class:`repro.hardware.cache.SharedCache`).  A hit sub-run only moves
+pages to the LRU's hot end.  A miss sub-run evicts and appends as one
+run, then reserves bank and link time: in closed form when the bank
+paces it, page by page when a busy or slow link does.  The cache work
+per batch is O(sub-runs x resident runs), not O(pages), and every float
+is folded in the order a page-by-page walk would fold it.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
-from itertools import islice
 from typing import NamedTuple
 
 from ..config import MachineConfig
@@ -23,7 +30,7 @@ from ..errors import HardwareError
 from .cache import SharedCache
 from .counters import CounterBank
 from .interconnect import FifoChannel, Interconnect
-from ..pages import VECTOR_MIN_PAGES, page_runs
+from ..pages import ascending_runs, page_runs
 from .memory import UNPLACED, MemorySystem, home_runs
 from .topology import Topology
 
@@ -141,24 +148,21 @@ class Machine:
         and links overlap (the batch stalls until the *last* completion),
         while the requester-side line-latency term accumulates per page.
 
-        Each uniform-home piece is decided, in page order, on the state
-        the earlier pieces left; both branches fold into one set of
-        accumulators, so the batch ends exactly as the per-page loop
-        alone would leave it.
+        Each uniform-home piece is walked in page order as alternating
+        hit and miss sub-runs, each decided on the state the earlier
+        ones left, so the batch ends exactly as touching its pages one
+        by one would leave it.
         """
         socket = self.topology.node_of_core(core_id)
         cache = self.caches[socket]
         home_arr = self.memory._home
         next_page = self.memory._next_page
 
-        # (home, pages) pieces; an UNPLACED home marks a piece that takes
-        # the per-page loop whatever the cache holds: small batches,
-        # scattered pages, and runs outside the allocated page space
-        pieces: Sequence[tuple[int, Sequence[int]]]
-        if len(pages) < VECTOR_MIN_PAGES:
-            pieces = ((UNPLACED, pages),)
-        elif (type(pages) is range and pages.step == 1
-                and 0 <= pages.start and pages.stop <= next_page):
+        # (home, run) pieces in page order; an UNPLACED home marks pages
+        # outside the allocated space as well as unplaced ones
+        pieces: Sequence[tuple[int, range]]
+        if (type(pages) is range and pages.step == 1
+                and 0 <= pages.start < pages.stop <= next_page):
             # the dominant shape, one allocated range on one home, is
             # resolved with one bytes comparison and no home_runs call
             span_bytes = home_arr[pages.start:pages.stop].tobytes()
@@ -169,64 +173,123 @@ class Machine:
         else:
             runs = page_runs(pages)
             if runs is None:
-                pieces = ((UNPLACED, pages),)
-            else:
-                split: list[tuple[int, Sequence[int]]] = []
-                for run in runs:
-                    if 0 <= run.start and run.stop <= next_page:
-                        split.extend(home_runs(home_arr, run))
-                    else:
-                        split.append((UNPLACED, run))
-                pieces = split
+                runs = ascending_runs(pages)
+            split: list[tuple[int, range]] = []
+            for run in runs:
+                start, stop = run.start, run.stop
+                if 0 <= start and stop <= next_page:
+                    split.extend(home_runs(home_arr, run))
+                    continue
+                if start < 0:
+                    split.append((UNPLACED, range(start, min(stop, 0))))
+                    start = 0
+                if start < next_page and start < stop:
+                    split.extend(home_runs(
+                        home_arr, range(start, min(stop, next_page))))
+                    start = next_page
+                if start < stop:
+                    split.append((UNPLACED, range(start, stop)))
+            pieces = split
 
-        # accumulators both branches fold into; misses, evictions, the
+        # accumulators every sub-run folds into; misses, evictions, the
         # remote share and the byte counts follow from them exactly
-        resident = cache._resident
-        resident_before = len(resident)
+        resident = cache._runs
+        size = resident_before = cache._size
         capacity = cache.capacity_pages
         latency_stall = 0.0
         batch_done = now
         hits = 0
         imc_pages: dict[int, int] = {}
+        banks = self.banks
+        bank_service = self._bank_service
 
         for piece_home, piece in pieces:
-            bulk = (piece_home != UNPLACED
-                    and resident.keys().isdisjoint(piece))
-            if bulk:
-                bank = self.banks[piece_home]
-                free = bank._free_at
-                first = (now if now > free else free) + self._bank_service
-                remote = piece_home != socket
-                if remote:
-                    # the bulk chain assumes the bank alone paces the
-                    # piece: the link drains at least as fast as the bank
-                    # feeds it and is free by the first page's arrival
-                    link, extra, per_page_latency = self._remote_paths[
-                        (piece_home, socket)]
-                    bulk = (self._link_after_bank
-                            and link._free_at <= first)
-                else:
-                    per_page_latency = self._latency_per_page
-            if bulk:
-                # every page misses, in order: the per-page loop's effect
-                # in closed form, with each float produced by the same
-                # left-to-right additions
-                n = len(piece)
-                size = len(resident)
+            pos = piece.start
+            end = piece.stop
+            while pos < end:
+                # the sub-run at ``pos``: a hit through the end of the
+                # resident run holding it, or else a miss up to the next
+                # resident run's start (runs are disjoint)
+                stop = end
+                hit = -1
+                for index, run in enumerate(resident):
+                    if run.start <= pos:
+                        if pos < run.stop:
+                            hit = index
+                            break
+                    elif run.start < stop:
+                        stop = run.start
+                if hit >= 0:
+                    if run.stop < stop:
+                        stop = run.stop
+                    cache._hit(hit, pos, stop)
+                    hits += stop - pos
+                    pos = stop
+                    continue
+                if piece_home == UNPLACED:
+                    # the page is inserted, then refused, exactly as a
+                    # page-by-page walk leaves the cache
+                    cache._size = size
+                    cache._miss(pos, pos + 1)
+                    raise HardwareError(
+                        f"page {pos} touched before first-touch placement")
+                # residency: evict the overflow from the cold end, then
+                # append the sub-run (SharedCache._miss, inlined)
+                n = stop - pos
                 overflow = size + n - capacity
                 if overflow >= size:
-                    # the piece alone fills the cache: it ends holding
-                    # the piece's last ``capacity`` pages
-                    cache._resident = resident = dict.fromkeys(
-                        piece[overflow - size:])
+                    resident[:] = (range(stop - capacity, stop),)
+                    size = capacity
                 else:
-                    # evict the ``overflow`` coldest pages, then append
                     if overflow > 0:
-                        for page in list(islice(resident, overflow)):
-                            del resident[page]
-                    for page in piece:
-                        resident[page] = None
-                bank_service = self._bank_service
+                        size -= overflow
+                        while overflow:
+                            head = resident[0]
+                            if len(head) <= overflow:
+                                overflow -= len(head)
+                                del resident[0]
+                            else:
+                                resident[0] = head[overflow:]
+                                overflow = 0
+                    if resident and resident[-1].stop == pos:
+                        resident[-1] = range(resident[-1].start, stop)
+                    else:
+                        resident.append(range(pos, stop))
+                    size += n
+                pos = stop
+                imc_pages[piece_home] = imc_pages.get(piece_home, 0) + n
+                bank = banks[piece_home]
+                free = bank._free_at
+                first = (now if now > free else free) + bank_service
+                if piece_home == socket:
+                    link = None
+                    per_page_latency = self._latency_per_page
+                else:
+                    link, extra, per_page_latency = self._remote_paths[
+                        (piece_home, socket)]
+                    if not (self._link_after_bank
+                            and link._free_at <= first):
+                        # a busy or slow link paces the sub-run: the
+                        # per-page bank and link chains, in page order
+                        link_service = self._link_service
+                        link_free = link._free_at
+                        for _ in range(n):
+                            free = ((now if now > free else free)
+                                    + bank_service)
+                            link_free = ((free if free > link_free
+                                          else link_free) + link_service)
+                            done = link_free + extra if extra else link_free
+                            latency_stall += per_page_latency
+                            if done > batch_done:
+                                batch_done = done
+                        bank._free_at = free
+                        link._free_at = link_free
+                        continue
+                # the bank alone paces the sub-run (a remote link drains
+                # at least as fast as the bank feeds it and is free by
+                # the first page's arrival): the per-page chains in
+                # closed form, each float produced by the same
+                # left-to-right additions
                 last = first
                 for _ in range(n - 1):
                     last += bank_service
@@ -244,69 +307,13 @@ class Machine:
                         for _ in range(n):
                             latency_stall += per_page_latency
                         self._latency_chains[key] = latency_stall
-                imc_pages[piece_home] = imc_pages.get(piece_home, 0) + n
-                if remote:
+                if link is None:
+                    done = last
+                else:
                     done = last + self._link_service
                     link._free_at = done
                     if extra:
                         done += extra
-                else:
-                    done = last
-                if done > batch_done:
-                    batch_done = done
-                continue
-
-            # The per-page loop: the seed implementation with every
-            # per-page function call flattened into locals.  The L3 LRU
-            # probe mirrors SharedCache.access, the bank/link
-            # reservations mirror FifoChannel.reserve with the
-            # loop-invariant service times precomputed in __init__, and
-            # the remote hop latency comes from the per-pair table.
-            # Float operations keep their exact order, so traces stay
-            # bit-identical.
-            resident_pop = resident.pop
-            banks = self.banks
-            remote_paths = self._remote_paths
-            bank_service = self._bank_service
-            link_service = self._link_service
-            latency_per_page = self._latency_per_page
-            for page in piece:
-                if resident_pop(page, 0) is None:
-                    # plain-dict move_to_end: pop re-inserts at the back
-                    # (resident values are always None, so None == hit)
-                    resident[page] = None
-                    hits += 1
-                    continue
-                if len(resident) >= capacity:
-                    del resident[next(iter(resident))]
-                resident[page] = None
-                home = (home_arr[page] if 0 <= page < next_page
-                        else UNPLACED)
-                if home == UNPLACED:
-                    raise HardwareError(
-                        f"page {page} touched before first-touch placement")
-                imc_pages[home] = imc_pages.get(home, 0) + 1
-                bank = banks[home]
-                free = bank._free_at
-                bank_done = ((now if now > free else free)
-                             + bank_service)
-                bank._free_at = bank_done
-                if home == socket:
-                    done = bank_done
-                    latency_stall += latency_per_page
-                else:
-                    # remote miss: read from the home bank, cross the
-                    # fabric, and stall the requester for the extra
-                    # line latency
-                    link, extra, remote_latency = remote_paths[
-                        (home, socket)]
-                    link_free = link._free_at
-                    done = ((bank_done if bank_done > link_free
-                             else link_free) + link_service)
-                    link._free_at = done
-                    if extra:
-                        done += extra
-                    latency_stall += remote_latency
                 if done > batch_done:
                     batch_done = done
         stall = (batch_done - now) + latency_stall
@@ -315,7 +322,8 @@ class Machine:
         cache.hits += hits
         cache.misses += misses
         # every miss inserts one page and every eviction drops one
-        cache.evictions += resident_before + misses - len(resident)
+        cache._size = size
+        cache.evictions += resident_before + misses - size
         page_bytes = self.memory.page_bytes
         remote_misses = 0
         for home, n_pages in imc_pages.items():
@@ -345,7 +353,7 @@ class Machine:
         counted per victim socket as ``l3_invalidations``."""
         socket = self.topology.node_of_core(core_id)
         for other, cache in enumerate(self.caches):
-            if other == socket or not cache._resident:
+            if other == socket or not cache._runs:
                 continue
             dropped = cache.invalidate(pages)
             if dropped:

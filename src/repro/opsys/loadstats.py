@@ -25,6 +25,7 @@ from dataclasses import dataclass
 
 from ..hardware.counters import CounterSnapshot
 from ..hardware.machine import Machine
+from ..units import left_sum
 from .cpuset import CpuSet
 
 
@@ -57,7 +58,7 @@ class LoadSample:
     def _mean(values: dict[int, float], cores) -> float:
         if not cores:
             return 0.0
-        return sum(values.get(c, 0.0) for c in cores) / len(cores)
+        return left_sum(values.get(c, 0.0) for c in cores) / len(cores)
 
     def average_node(self, cores: list[int]) -> float:
         """Mean busy load of an arbitrary core group (e.g. one node)."""

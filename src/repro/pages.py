@@ -4,7 +4,8 @@ A page batch is a step-1 :class:`range` (one contiguous run), a
 :class:`PageSegments` (several runs) or anything else (scattered
 pages).  :func:`page_runs` is the only code that tells these apart; the
 VM and the machine's cache model stream the runs it returns with their
-array fast paths.  The module is dependency-free because it is the
+array fast paths, and the machine cuts scattered pages into runs with
+:func:`ascending_runs`.  The module is dependency-free because it is the
 interface type between layers: query compilation (:mod:`repro.db.cost`)
 produces the runs and work items carry them, so placing it under
 :mod:`repro.opsys` or :mod:`repro.db` would force the hardware layer to
@@ -17,10 +18,10 @@ from collections.abc import Sequence
 
 from .errors import SchedulerError
 
-#: batches below this size skip the vectorised VM/cache fast paths:
-#: their fixed per-batch costs (home-map ``tobytes`` probe, translation
-#: tables, dict rebuilds) exceed a handful of scalar loop iterations,
-#: and both paths are bit-identical so the cut-over is trace-neutral
+#: batches below this size skip the VM's vectorised fast path: its
+#: fixed per-batch costs (home-map ``tobytes`` probe, translation
+#: tables) exceed a handful of scalar loop iterations, and both paths
+#: are bit-identical so the cut-over is trace-neutral
 VECTOR_MIN_PAGES = 8
 
 
@@ -130,3 +131,20 @@ def page_runs(pages) -> Sequence[range] | None:
     if type(pages) is PageSegments:
         return pages._segments
     return None
+
+
+def ascending_runs(pages) -> list[range]:
+    """Any page sequence as its maximal ascending step-1 runs, in order
+    (a scattered list yields one run per break in the sequence)."""
+    runs = []
+    pages = iter(pages)
+    # the outer loop takes the first page; the inner one drains the rest
+    for start in pages:
+        prev = start
+        for page in pages:
+            if page != prev + 1:
+                runs.append(range(start, prev + 1))
+                start = page
+            prev = page
+        runs.append(range(start, prev + 1))
+    return runs

@@ -198,8 +198,9 @@ class PoolStats:
         }
 
 
-#: stats of the most recent parallel execution in this process
-#: (diagnostics; the CLI prints them after a --parallel run)
+#: stats of the most recent run_tasks execution in this process, or
+#: ``None`` when it took the serial shortcut (diagnostics; the CLI
+#: prints them after a --parallel run)
 _LAST_STATS: PoolStats | None = None
 
 #: expected per-task seconds keyed by :func:`task_cost_key`, consulted
@@ -209,7 +210,9 @@ _COST_HINTS: dict[str, float] = {}
 
 
 def last_pool_stats() -> PoolStats | None:
-    """Stats of this process's most recent parallel execution."""
+    """Stats of this process's most recent :func:`run_tasks` execution;
+    ``None`` when that execution used no pool (``parallel=1``, a single
+    task, or every task a cache hit)."""
     return _LAST_STATS
 
 
@@ -275,7 +278,11 @@ def _execute(task_list: list[Task], parallel: int,
              cost_hints: Mapping[str, float] | None = None,
              stats: PoolStats | None = None) -> list[Any]:
     """Run tasks serially or across the pool; submission order."""
+    global _LAST_STATS
     if parallel == 1 or len(task_list) <= 1:
+        # no pool ran: an earlier fan-out's stats would describe
+        # another call
+        _LAST_STATS = None
         return [_invoke(task) for task in task_list]
     workers = min(parallel, len(task_list))
     outcomes = _run_pool(task_list, workers, get_context("spawn"),

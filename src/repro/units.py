@@ -1,4 +1,4 @@
-"""Unit helpers and conversions used across the simulator.
+"""Unit helpers, conversions and float folds used across the simulator.
 
 Internally the simulator uses a single set of base units:
 
@@ -13,6 +13,9 @@ These helpers exist so that call sites read like the paper ("41.6 GB/s",
 """
 
 from __future__ import annotations
+
+from functools import reduce
+from operator import add
 
 KIB = 1024
 MIB = 1024 * KIB
@@ -67,6 +70,14 @@ def usec(n: float) -> float:
 def msec(n: float) -> float:
     """Milliseconds to seconds."""
     return n * MILLISECOND
+
+
+def left_sum(values) -> float:
+    """``values`` added strictly left to right from 0, like ``sum()``
+    on CPython 3.11.  From 3.12 ``sum()`` compensates float rounding,
+    which changes low-order bits; simulated quantities fold with this
+    instead so their values are the same on every interpreter."""
+    return reduce(add, values, 0)
 
 
 def fmt_bytes(n: float) -> str:

@@ -30,6 +30,15 @@ def test_total_sums_family(bank):
     assert bank.total("imc_bytes") == 30
 
 
+def test_totals_fold_left_to_right(bank):
+    """Family totals add in slot order, on live banks and snapshots."""
+    values = [0.1] * 10 + [1e16, 1.0, -1e16]
+    for index, value in enumerate(values):
+        bank.add("busy_time", index, value)
+    assert bank.total("busy_time") == 0.0
+    assert bank.snapshot(0.0).total("busy_time") == 0.0
+
+
 def test_by_index(bank):
     bank.add("busy_time", 0, 1.5)
     bank.add("busy_time", 2, 0.5)

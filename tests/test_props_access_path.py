@@ -1,12 +1,16 @@
-"""Property tests: the bulk access path equals the per-page loop.
+"""Property tests: the run-based access path equals a per-page model.
 
-:meth:`repro.hardware.machine.Machine.touch` and
-:meth:`repro.opsys.vm.VirtualMemory.touch_pages` resolve contiguous
-runs (a step-1 ``range`` or a :class:`~repro.pages.PageSegments`) with
-bulk commits, and scattered pages with a per-page loop.  The choice
-must be invisible: these tests feed the same pages once as runs and
-once as a plain ``list`` (which always takes the loop) to deep-copied
-twins, then compare every piece of state either path writes.
+:meth:`repro.hardware.machine.Machine.touch` resolves every batch as
+page runs: each uniform-home piece is walked as hit and miss sub-runs
+against run-length L3 residency.  :class:`PerPageModel` is an
+independent reference — a dict LRU per socket plus the per-page bank
+and link chains built from :meth:`FifoChannel.reserve` — and the
+machine property test drives deep-copied twins through random scripts
+and compares every piece of state either side writes, error paths
+included.  :meth:`repro.opsys.vm.VirtualMemory.touch_pages` resolves
+runs with bulk commits and scattered pages with a per-page loop; the
+VM property test feeds the same pages once as runs and once as a plain
+``list`` and compares the mapping state.
 """
 
 from __future__ import annotations
@@ -18,7 +22,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import HardwareError
-from repro.hardware.machine import Machine
+from repro.hardware.machine import AccessResult, Machine
+from repro.hardware.memory import UNPLACED
 from repro.hardware.prebuilt import ring_topology, small_numa
 from repro.opsys.thread import SimThread
 from repro.opsys.vm import VirtualMemory
@@ -33,10 +38,103 @@ MACHINES = {
     "three_nodes": lambda: Machine(small_numa(n_sockets=3)),
     # multi-hop paths add a store-and-forward extra per remote page
     "ring": lambda: Machine(topology=ring_topology(small_numa(n_sockets=4))),
-    # a link slower than a bank: remote runs always take the loop
+    # a link slower than a bank: remote runs always take the page chain
     "slow_link": lambda: Machine(small_numa(n_sockets=3,
                                             ht_link_bandwidth=1e9)),
 }
+
+
+class PerPageModel:
+    """The access path page by page: the reference for Machine.touch.
+
+    Residency is a plain dict per socket whose insertion order is the
+    LRU order (a hit re-inserts at the back, a miss evicts the front).
+    Fetch timing reserves the home bank and, for a remote page, the
+    directed link through :meth:`FifoChannel.reserve`, adding the
+    multi-hop store-and-forward time as :meth:`Interconnect.transfer`
+    does.  Banks, links, counters and the home map are the wrapped
+    machine's own (a deep copy of the subject); its caches keep only
+    their hit, miss and eviction counts.
+    """
+
+    def __init__(self, machine: Machine):
+        self.machine = machine
+        self.lru = [dict.fromkeys(cache.resident_pages())
+                    for cache in machine.caches]
+
+    def touch(self, now, core, pages):
+        machine = self.machine
+        cfg = machine.config
+        counters = machine.counters
+        socket = machine.topology.node_of_core(core)
+        lru = self.lru[socket]
+        cache = machine.caches[socket]
+        size_before = len(lru)
+        latency = (cfg.page_bytes / cfg.cache_line_bytes
+                   / cfg.memory_parallelism * cfg.dram_latency)
+        link_bandwidth = machine.interconnect.link_bandwidth
+        latency_stall = 0.0
+        batch_done = now
+        hits = 0
+        imc_pages = {}
+        for page in pages:
+            if page in lru:
+                del lru[page]
+                lru[page] = None
+                hits += 1
+                continue
+            if len(lru) >= cache.capacity_pages:
+                del lru[next(iter(lru))]
+            lru[page] = None
+            home = machine.memory.home(page)
+            if home == UNPLACED:
+                raise HardwareError(
+                    f"page {page} touched before first-touch placement")
+            imc_pages[home] = imc_pages.get(home, 0) + 1
+            done = machine.banks[home].reserve(now, cfg.page_bytes)
+            if home == socket:
+                latency_stall += latency
+            else:
+                hops = machine.topology.distance(home, socket)
+                done = machine.interconnect.link(home, socket).reserve(
+                    done, cfg.page_bytes)
+                if hops > 1:
+                    done += (hops - 1) * (cfg.page_bytes / link_bandwidth)
+                latency_stall += latency * cfg.remote_penalty ** hops
+            if done > batch_done:
+                batch_done = done
+        misses = len(pages) - hits
+        cache.hits += hits
+        cache.misses += misses
+        cache.evictions += size_before + misses - len(lru)
+        remote = 0
+        for home, n in imc_pages.items():
+            counters.add("imc_bytes", home, n * cfg.page_bytes)
+            if home != socket:
+                remote += n
+                counters.add("ht_tx_bytes", home, n * cfg.page_bytes)
+        counters.add("l3_hit", socket, hits)
+        counters.add("l3_miss", socket, misses)
+        return AccessResult(
+            stall_time=(batch_done - now) + latency_stall, hits=hits,
+            misses=misses, remote_misses=remote,
+            bytes_local=(misses - remote) * cfg.page_bytes,
+            bytes_remote=remote * cfg.page_bytes)
+
+    def touch_write(self, now, core, pages):
+        socket = self.machine.topology.node_of_core(core)
+        for other, lru in enumerate(self.lru):
+            victims = [page for page in set(pages) if page in lru]
+            if other == socket or not victims:
+                continue
+            for page in victims:
+                del lru[page]
+            self.machine.counters.add("l3_invalidations", other,
+                                      len(victims))
+        return self.touch(now, core, pages)
+
+    def resident(self):
+        return [list(lru) for lru in self.lru]
 
 
 @st.composite
@@ -64,6 +162,48 @@ def batches(draw, n_pages):
     return PageSegments([run() for _ in range(draw(st.integers(1, 4)))])
 
 
+@st.composite
+def machine_batches(draw, n_pages):
+    """Any batch Machine.touch accepts: runs that may overlap, cross the
+    allocated space's end or start below page 0, scattered lists with
+    duplicates, strided ranges and empty batches.  Most runs fall in a
+    window about twice the L3's size, so batches often hit mid-run."""
+    window = draw(st.integers(0, max(0, n_pages - 16)))
+    width = min(16, n_pages) - 1
+
+    def run():
+        if draw(st.integers(0, 9)):
+            start = window + draw(st.integers(0, width))
+            length = draw(st.integers(1, 12))
+        else:
+            start = draw(st.integers(-2, n_pages + 2))
+            length = draw(st.integers(1, MAX_RUN))
+        return range(start, start + length)
+
+    kind = draw(st.sampled_from(
+        ["range", "range", "segments", "segments", "list", "strided",
+         "empty"]))
+    if kind == "range":
+        return run()
+    if kind == "segments":
+        return PageSegments([run() for _ in range(draw(st.integers(1, 4)))])
+    if kind == "list":
+        pages = []
+        for _ in range(draw(st.integers(1, 4))):
+            if draw(st.booleans()):
+                pages.append(window + draw(st.integers(0, width)))
+            else:
+                pages.extend(run())
+        return pages
+    if kind == "strided":
+        start = window + draw(st.integers(0, width))
+        stop = start + draw(st.integers(1, 12))
+        step = draw(st.sampled_from([2, 3, -1]))
+        return range(start, stop, step) if step > 0 else range(
+            stop, start, step)
+    return range(0)
+
+
 def _place(memory, blocks, tail):
     for node, length in blocks:
         memory.place_batch(memory.allocate(length), node)
@@ -71,9 +211,9 @@ def _place(memory, blocks, tail):
     return memory._next_page
 
 
-def _machine_state(machine):
+def _state(machine, resident):
     return {
-        "resident": [list(cache._resident) for cache in machine.caches],
+        "resident": resident,
         "cache_counts": [(cache.hits, cache.misses, cache.evictions)
                          for cache in machine.caches],
         "banks": [bank._free_at for bank in machine.banks],
@@ -82,46 +222,58 @@ def _machine_state(machine):
         "counters": [(name, list(family.slots.items()),
                       list(family.values))
                      for name, family in machine.counters._families.items()],
+        "homes": list(machine.memory._home[:machine.memory._next_page]),
     }
 
 
-def _touch(machine, now, core, pages):
+def _subject_state(machine):
+    return _state(machine, [cache.resident_pages()
+                            for cache in machine.caches])
+
+
+def _model_state(model):
+    return _state(model.machine, model.resident())
+
+
+def _call(touch, now, core, pages):
     try:
-        return machine.touch(now, core, pages)
+        return touch(now, core, pages)
     except HardwareError as exc:
         return str(exc)
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=300, deadline=None)
 @given(data=st.data())
 def test_machine_touch_runs_equal_the_per_page_loop(data):
     kind = data.draw(st.sampled_from(sorted(MACHINES)))
-    machine = MACHINES[kind]()
-    n_nodes = machine.topology.n_sockets
-    n_pages = _place(machine.memory, *data.draw(home_maps(n_nodes)))
-    n_cores = len(machine.topology.all_cores())
-    # pre-warm caches and counters through the loop
-    for _ in range(data.draw(st.integers(0, 3))):
-        warm = data.draw(st.lists(st.integers(0, n_pages - 1),
-                                  max_size=12))
-        _touch(machine, 0.0, data.draw(st.integers(0, n_cores - 1)), warm)
+    subject = MACHINES[kind]()
+    n_nodes = subject.topology.n_sockets
+    n_pages = _place(subject.memory, *data.draw(home_maps(n_nodes)))
+    n_cores = len(subject.topology.all_cores())
     # bank and link backlogs, in units of a few page services
-    service = machine._bank_service
-    for bank in machine.banks:
+    service = subject._bank_service
+    for bank in subject.banks:
         bank._free_at = data.draw(st.integers(0, 40)) * service / 3
-    for link in machine.interconnect._links.values():
+    for link in subject.interconnect._links.values():
         link._free_at = data.draw(st.integers(0, 40)) * service / 3
-    subject = machine
-    reference = copy.deepcopy(machine)
+    model = PerPageModel(copy.deepcopy(subject))
     now = 0.0
-    for _ in range(data.draw(st.integers(1, 3))):
+    for _ in range(data.draw(st.integers(1, 10))):
         now += data.draw(st.integers(0, 20)) * service / 7
         core = data.draw(st.integers(0, n_cores - 1))
-        pages = data.draw(batches(n_pages))
-        got = _touch(subject, now, core, pages)
-        want = _touch(reference, now, core, list(pages))
+        op = data.draw(st.sampled_from(["touch", "touch", "touch",
+                                        "touch_write", "free"]))
+        if op == "free":
+            # freed pages stay resident: later hits on unplaced pages
+            pages = data.draw(batches(n_pages))
+            subject.memory.free(pages)
+            model.machine.memory.free(pages)
+            continue
+        pages = data.draw(machine_batches(n_pages))
+        got = _call(getattr(subject, op), now, core, pages)
+        want = _call(getattr(model, op), now, core, pages)
         assert got == want
-        assert _machine_state(subject) == _machine_state(reference)
+        assert _subject_state(subject) == _model_state(model)
 
 
 def _vm_state(vm, thread):
@@ -172,7 +324,7 @@ def test_vm_touch_runs_equal_the_per_page_loop(data):
 
 
 def test_an_overflowing_run_keeps_its_last_capacity_pages():
-    """A run longer than the L3 commits in closed form."""
+    """A miss sub-run longer than the L3 leaves only its last pages."""
     machine = Machine(small_numa())
     capacity = machine.caches[0].capacity_pages
     pages = machine.memory.allocate(3 * capacity)
@@ -180,7 +332,7 @@ def test_an_overflowing_run_keeps_its_last_capacity_pages():
     machine.touch(0.0, 0, pages[:2])
     machine.touch(0.0, 0, pages[capacity:])
     cache = machine.caches[0]
-    assert list(cache._resident) == list(pages[-capacity:])
+    assert cache.resident_pages() == list(pages[-capacity:])
     assert cache.evictions == 2 + 2 * capacity - capacity
 
 
@@ -190,7 +342,21 @@ def test_an_unplaced_run_raises_like_the_loop(pages):
     machine = Machine(small_numa())
     machine.memory.place_batch(machine.memory.allocate(12), 0)
     machine.memory.allocate(8)
-    reference = copy.deepcopy(machine)
-    assert _touch(machine, 0.0, 0, pages) == _touch(reference, 0.0, 0,
-                                                    list(pages))
-    assert _machine_state(machine) == _machine_state(reference)
+    model = PerPageModel(copy.deepcopy(machine))
+    assert _call(machine.touch, 0.0, 0, pages) == _call(model.touch, 0.0,
+                                                        0, pages)
+    assert _subject_state(machine) == _model_state(model)
+
+
+def test_a_hit_inside_a_piece_splits_it_into_sub_runs():
+    """A resident run in the middle of a piece is a hit sub-run between
+    two miss sub-runs, and is timed like the page-by-page walk."""
+    machine = Machine(small_numa(n_sockets=3))
+    pages = machine.memory.allocate(20)
+    machine.memory.place_batch(pages, 1)
+    machine.touch(0.0, 0, range(8, 11))
+    model = PerPageModel(copy.deepcopy(machine))
+    got = machine.touch(1e-6, 0, range(5, 15))
+    assert got == model.touch(1e-6, 0, range(5, 15))
+    assert (got.hits, got.misses) == (3, 7)
+    assert _subject_state(machine) == _model_state(model)

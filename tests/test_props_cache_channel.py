@@ -33,7 +33,7 @@ def test_cache_stats_sum_to_accesses(capacity, accesses):
 @given(st.integers(min_value=1, max_value=8),
        st.lists(pages, min_size=1, max_size=100))
 @settings(max_examples=60)
-def test_most_recent_access_is_always_resident(capacity, accesses):
+def test_most_recent_access_is_always_cached(capacity, accesses):
     cache = SharedCache(capacity)
     for page in accesses:
         cache.access(page)

@@ -15,8 +15,11 @@ from repro.errors import ReproError
 from repro.runner.bench import (BENCH_SUITE, QUICK_SUITE, BenchReport,
                                 _report_from_dict, load_baseline,
                                 load_cost_hints, run_bench, write_report)
+from repro.runner import pool as pool_mod
+from repro.runner.cache import ResultCache
 from repro.runner.pool import (PoolStats, Task, TaskError, _dispatch_order,
-                               resolve, run_tasks, task_cost_key)
+                               last_pool_stats, resolve, run_tasks,
+                               task_cost_key)
 
 
 # ---------------------------------------------------------------------
@@ -31,6 +34,29 @@ def test_run_tasks_serial_preserves_submission_order():
     tasks = [Task("tests.test_runner_pool:_double", dict(x=i))
              for i in range(5)]
     assert run_tasks(tasks, parallel=1) == [0, 2, 4, 6, 8]
+
+
+@pytest.mark.parametrize("parallel, n_tasks", [(1, 3), (2, 1)])
+def test_a_serial_run_clears_the_last_pool_stats(monkeypatch, parallel,
+                                                 n_tasks):
+    """A call that takes the serial shortcut ran no pool, so it must not
+    report the previous fan-out's stats."""
+    monkeypatch.setattr(pool_mod, "_LAST_STATS", PoolStats(tasks=2))
+    tasks = [Task("tests.test_runner_pool:_double", dict(x=i))
+             for i in range(n_tasks)]
+    run_tasks(tasks, parallel=parallel)
+    assert last_pool_stats() is None
+
+
+def test_an_all_cache_hit_run_clears_the_last_pool_stats(monkeypatch,
+                                                         tmp_path):
+    store = ResultCache(tmp_path)
+    tasks = [Task("tests.test_runner_pool:_double", dict(x=i))
+             for i in range(2)]
+    run_tasks(tasks, parallel=1, cache=store)
+    monkeypatch.setattr(pool_mod, "_LAST_STATS", PoolStats(tasks=2))
+    assert run_tasks(tasks, parallel=2, cache=store) == [0, 2]
+    assert last_pool_stats() is None
 
 
 def _fail(x):

@@ -1,4 +1,6 @@
-"""Unit helpers: conversions and formatting."""
+"""Unit helpers: conversions, formatting and the left float fold."""
+
+from array import array
 
 import pytest
 
@@ -38,3 +40,25 @@ def test_fmt_seconds_adaptive_units():
     assert units.fmt_seconds(2e-6) == "2.0 us"
     assert units.fmt_seconds(0.020) == "20.00 ms"
     assert units.fmt_seconds(3.5) == "3.500 s"
+
+
+#: a left fold gives 0.0 (1e16 + 1.0 rounds back to 1e16); CPython
+#: 3.12's compensated ``sum()`` gives 2.0
+UNBALANCED = [0.1] * 10 + [1e16, 1.0, -1e16]
+
+
+def _fold(values):
+    total = 0
+    for value in values:
+        total = total + value
+    return total
+
+
+def test_left_sum_adds_left_to_right():
+    assert units.left_sum(UNBALANCED) == _fold(UNBALANCED) == 0.0
+    assert units.left_sum(array("d", UNBALANCED)) == 0.0
+    assert units.left_sum(iter(UNBALANCED)) == 0.0
+
+
+def test_left_sum_of_nothing_is_zero():
+    assert units.left_sum([]) == 0
