@@ -51,12 +51,12 @@ class _Family:
         :meth:`CounterBank.family` handle: one dict probe and one array
         store, no per-call family lookup.
         """
-        pos = self.slots.get(index)
-        if pos is None:
+        try:
+            self.values[self.slots[index]] += amount
+        except KeyError:
+            # first write to ``index``: a new slot at the end
             self.slots[index] = len(self.values)
             self.values.append(0.0 + amount)
-        else:
-            self.values[pos] += amount
 
 
 class CounterSnapshot:

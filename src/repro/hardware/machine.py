@@ -335,14 +335,11 @@ class Machine:
                 self._f_ht_tx.add(home, n_pages * page_bytes)
         self._f_l3_hit.add(socket, hits)
         self._f_l3_miss.add(socket, misses)
-        return AccessResult(
-            stall_time=stall,
-            hits=hits,
-            misses=misses,
-            remote_misses=remote_misses,
-            bytes_local=(misses - remote_misses) * page_bytes,
-            bytes_remote=remote_misses * page_bytes,
-        )
+        # positional: keyword arguments cost the named tuple's
+        # generated __new__ about twice as much
+        return AccessResult(stall, hits, misses, remote_misses,
+                            (misses - remote_misses) * page_bytes,
+                            remote_misses * page_bytes)
 
     def touch_write(self, now: float, core_id: int,
                     pages: Sequence[int]) -> AccessResult:
@@ -350,14 +347,30 @@ class Machine:
         **invalidates** it in every other socket's L3 (the coherence
         traffic the paper's introduction blames on threads "sharing the
         same cache memory" being split across nodes).  Invalidations are
-        counted per victim socket as ``l3_invalidations``."""
+        counted per victim socket as ``l3_invalidations``.
+
+        A socket's L3 is probed only when one of its resident runs
+        overlaps a written run: written pages are mostly fresh
+        intermediates no other socket has read, so the exact overlap
+        test usually settles every socket without a call.
+        """
         socket = self.topology.node_of_core(core_id)
+        victims = page_runs(pages)
+        if victims is None:
+            victims = ascending_runs(sorted(set(pages)))
         for other, cache in enumerate(self.caches):
-            if other == socket or not cache._runs:
+            if other == socket:
                 continue
-            dropped = cache.invalidate(pages)
-            if dropped:
-                self._f_l3_inval.add(other, dropped)
+            resident = cache._runs
+            for victim in victims:
+                lo, hi = victim.start, victim.stop
+                for run in resident:
+                    if run.start < hi and lo < run.stop:
+                        break
+                else:
+                    continue
+                self._f_l3_inval.add(other, cache.invalidate(pages))
+                break
         return self.touch(now, core_id, pages)
 
     def account_busy(self, core_id: int, seconds: float) -> None:

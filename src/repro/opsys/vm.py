@@ -18,10 +18,13 @@ home map in :mod:`repro.hardware.memory`.  The hot
 :meth:`VirtualMemory.touch_pages` call — one per execution chunk —
 takes the batch's contiguous runs from :func:`repro.pages.page_runs`
 and resolves each one on its own: fault detection runs as one
-``bytes.translate`` + ``count`` over the bitmask slice, and a
-uniform-home run resolves placement and the residency histogram in
-O(1).  Mixed-home runs, runs outside the allocated page space and
-scattered batches take the per-page path with identical semantics.
+``bytes.translate`` + ``count`` over the bitmask slice, a uniform-home
+run resolves placement and the residency histogram in O(1), and a
+mixed-home run of placed pages builds the histogram from its
+uniform-home pieces.  Mixed runs holding an unplaced page, runs outside
+the allocated page space, scattered batches and batches below
+:data:`~repro.pages.VECTOR_MIN_PAGES` take the per-page path with
+identical semantics.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from collections.abc import Sequence
 from ..errors import HardwareError
 from ..hardware.machine import Machine
 from ..hardware.memory import (UNPLACED, UNPLACED_PATTERN as
-                               _UNPLACED_PATTERN, home_run)
+                               _UNPLACED_PATTERN, home_run, home_runs)
 from ..pages import VECTOR_MIN_PAGES, page_runs
 from .thread import SimThread
 
@@ -55,12 +58,16 @@ class VirtualMemory:
         # page -> bitmask of nodes that have already mapped it, dense
         # by page id (grown on demand to cover the allocated space)
         self._mapped = bytearray(1024)
-        # per-node byte-translation tables, built lazily: _seen_tables
-        # maps a bitmask byte to 1 when the node's bit is set (so
-        # translate+count counts already-mapped pages in C), _set_tables
-        # maps it to the same byte with the node's bit ored in
-        self._seen_tables: dict[int, bytes] = {}
-        self._set_tables: dict[int, bytes] = {}
+        # per-node byte-translation tables, indexed by node: the seen
+        # probe maps a bitmask byte to 1 when the node's bit is set (so
+        # translate+count counts already-mapped pages in C), the bit-set
+        # table maps it to the same byte with the node's bit ored in
+        self._seen_tables = tuple(
+            bytes(1 if b & (1 << node) else 0 for b in range(256))
+            for node in machine.topology.all_nodes())
+        self._set_tables = tuple(
+            bytes(b | (1 << node) for b in range(256))
+            for node in machine.topology.all_nodes())
         # AutoNUMA bookkeeping: page -> (last remote accessor, streak)
         self._remote_streak: dict[int, tuple[int, int]] = {}
 
@@ -73,16 +80,6 @@ class VirtualMemory:
                 capacity *= 2
             mapped.extend(bytes(capacity - len(mapped)))
         return mapped
-
-    def _tables(self, node: int) -> tuple[bytes, bytes]:
-        """The (seen-probe, bit-set) translation tables for ``node``."""
-        seen = self._seen_tables.get(node)
-        if seen is None:
-            mask = 1 << node
-            seen = bytes(1 if b & mask else 0 for b in range(256))
-            self._seen_tables[node] = seen
-            self._set_tables[node] = bytes(b | mask for b in range(256))
-        return seen, self._set_tables[node]
 
     def touch_pages(self, pages: Sequence[int], node: int,
                     thread: SimThread | None = None) -> int:
@@ -116,29 +113,38 @@ class VirtualMemory:
                      thread: SimThread | None, memory) -> int:
         """Bulk path for one contiguous allocated range.
 
-        The overwhelmingly common batches — a cold range first-touched in
-        one piece, or a warm range re-streamed from any node — have a
-        *uniform* home-map run, detected with one ``bytes`` comparison.
-        Those resolve with no per-page work at all; mixed-home ranges
-        and runs outside the allocated page space fall back to the
-        per-page loop unchanged.
+        Fault detection and the mapping update are one ``translate`` +
+        ``count`` over the run's bitmask slice, whatever the homes.  A
+        *uniform* home-map run (one ``bytes`` comparison) resolves
+        placement and the residency histogram in O(1); a mixed-home run
+        of placed pages builds the histogram from its
+        :func:`~repro.hardware.memory.home_runs` pieces, in first-seen
+        order as the per-page loop would.  Mixed runs holding an
+        unplaced page and runs outside the allocated page space fall
+        back to the per-page loop unchanged.
         """
         start, stop = pages.start, pages.stop
         if not (0 <= start and stop <= memory._next_page):
             return self._touch_each(pages, node, thread, memory)
         n = stop - start
-        mapped = self._mapped_span(stop)
-        segment = bytes(mapped[start:stop])
-        seen_tbl, set_tbl = self._tables(node)
-        faults = n - segment.translate(seen_tbl).count(1)
         home_arr = memory._home
         span_bytes = home_arr[start:stop].tobytes()
+        pieces = None
         if span_bytes != span_bytes[:2] * n:
-            # mixed homes: per-page semantics, minus the double count
-            # (the caller adds the returned faults to the counter)
-            return self._touch_each(pages, node, thread, memory)
+            pieces = home_runs(home_arr, pages)
+            for home, _ in pieces:
+                if home == UNPLACED:
+                    # mixed span with pages to first-touch: per-page
+                    # semantics (the caller adds the returned faults)
+                    return self._touch_each(pages, node, thread, memory)
+        mapped = self._mapped
+        if stop > len(mapped):
+            mapped = self._mapped_span(stop)
+        segment = mapped[start:stop]
+        faults = n - segment.translate(self._seen_tables[node]).count(1)
+        unplaced = pieces is None and span_bytes[:2] == _UNPLACED_PATTERN
         if faults:
-            if span_bytes[:2] == _UNPLACED_PATTERN:
+            if unplaced:
                 # uniform-unplaced implies nothing mapped it yet: the
                 # whole range first-touches onto ``node`` in one store
                 if (memory._pages_per_node[node] + n
@@ -147,13 +153,19 @@ class VirtualMemory:
                         f"memory bank of node {node} is full")
                 home_arr[start:stop] = home_run(node, n)
                 memory._pages_per_node[node] += n
-            mapped[start:stop] = segment.translate(set_tbl)
-            if thread is not None:
-                thread.note_pages(home_arr[start], n)
+            mapped[start:stop] = segment.translate(self._set_tables[node])
+        elif unplaced:
+            # a mapped yet unplaced range adds nothing to the histogram
             return faults
-        if thread is not None and span_bytes[:2] != _UNPLACED_PATTERN:
-            # warm uniform batch: the residency histogram is one entry
-            thread.note_pages(home_arr[start], n)
+        if thread is not None:
+            if pieces is None:
+                thread.note_pages(home_arr[start], n)
+            else:
+                histogram: dict[int, int] = {}
+                for home, piece in pieces:
+                    histogram[home] = histogram.get(home, 0) + len(piece)
+                for home, count in histogram.items():
+                    thread.note_pages(home, count)
         return faults
 
     def _touch_each(self, pages: Sequence[int], node: int,

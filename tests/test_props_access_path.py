@@ -9,8 +9,12 @@ machine property test drives deep-copied twins through random scripts
 and compares every piece of state either side writes, error paths
 included.  :meth:`repro.opsys.vm.VirtualMemory.touch_pages` resolves
 runs with bulk commits and scattered pages with a per-page loop; the
-VM property test feeds the same pages once as runs and once as a plain
-``list`` and compares the mapping state.
+VM property tests feed the same pages once as runs and once as a plain
+``list`` and compare the mapping state, mixed-home runs, unplaced holes
+and pages outside the allocated space included.  The write-probe test
+checks that :meth:`Machine.touch_write`, which asks a socket's L3 to
+invalidate only when its resident runs overlap the written pages, drops
+exactly what asking every socket drops.
 """
 
 from __future__ import annotations
@@ -235,9 +239,9 @@ def _model_state(model):
     return _state(model.machine, model.resident())
 
 
-def _call(touch, now, core, pages):
+def _call(touch, *args):
     try:
-        return touch(now, core, pages)
+        return touch(*args)
     except HardwareError as exc:
         return str(exc)
 
@@ -288,18 +292,40 @@ def _vm_state(vm, thread):
     }
 
 
-@settings(max_examples=200, deadline=None)
+@st.composite
+def vm_batches(draw, n_pages):
+    """Batches for the VM: step-1 ranges or PageSegments whose runs may
+    overlap, start below page 0 or run past the allocated space."""
+    def run():
+        start = draw(st.integers(-2, n_pages + 1))
+        return range(start, start + draw(st.integers(1, MAX_RUN)))
+
+    if draw(st.booleans()):
+        return run()
+    return PageSegments([run() for _ in range(draw(st.integers(1, 4)))])
+
+
+@settings(max_examples=300, deadline=None)
 @given(data=st.data())
 def test_vm_touch_runs_equal_the_per_page_loop(data):
+    """Runs, mixed-home ones included, equal the per-page loop on a twin
+    fed the same pages as a list: faults, mapping bits, the home map,
+    per-node page counts, the thread's histogram (values and insertion
+    order) and the error raised.  After an error the script stops: runs
+    commit one by one, the loop after its whole batch."""
     vm = VirtualMemory(Machine(small_numa(n_sockets=3)))
     memory = vm.machine.memory
     n_nodes = vm.machine.topology.n_sockets
-    # blocks first-touched by the VM from their node, plus an unplaced
-    # tail the batches may first-touch
-    blocks, tail = data.draw(home_maps(n_nodes))
-    for node, length in blocks:
-        vm.touch_pages(memory.allocate(length), node)
-    memory.allocate(tail)
+    # blocks first-touched from several nodes, interleaved with
+    # never-touched and released blocks (unplaced holes)
+    for _ in range(data.draw(st.integers(1, 6))):
+        block = memory.allocate(data.draw(st.integers(1, 12)))
+        kind = data.draw(st.sampled_from(["touched", "touched", "hole",
+                                          "released"]))
+        if kind != "hole":
+            vm.touch_pages(block, data.draw(st.integers(0, n_nodes - 1)))
+        if kind == "released":
+            vm.forget(block)
     n_pages = memory._next_page
     # earlier mappings from other nodes
     for _ in range(data.draw(st.integers(0, 3))):
@@ -309,12 +335,15 @@ def test_vm_touch_runs_equal_the_per_page_loop(data):
     thread = SimThread(ListWorkSource())
     subject = (vm, thread)
     reference = copy.deepcopy(subject)
-    for _ in range(data.draw(st.integers(1, 3))):
+    for _ in range(data.draw(st.integers(1, 4))):
         node = data.draw(st.integers(0, n_nodes - 1))
-        pages = data.draw(batches(n_pages))
-        got = subject[0].touch_pages(pages, node, subject[1])
-        want = reference[0].touch_pages(list(pages), node, reference[1])
+        pages = data.draw(vm_batches(n_pages))
+        got = _call(subject[0].touch_pages, pages, node, subject[1])
+        want = _call(reference[0].touch_pages, list(pages), node,
+                     reference[1])
         assert got == want
+        if isinstance(got, str):
+            return
         assert _vm_state(*subject) == _vm_state(*reference)
     # releasing runs: the mapping bits and the home map per run
     pages = data.draw(batches(n_pages))
@@ -360,3 +389,87 @@ def test_a_hit_inside_a_piece_splits_it_into_sub_runs():
     assert got == model.touch(1e-6, 0, range(5, 15))
     assert (got.hits, got.misses) == (3, 7)
     assert _subject_state(machine) == _model_state(model)
+
+
+def test_a_mixed_home_run_of_placed_pages_takes_the_bulk_path(monkeypatch):
+    vm = VirtualMemory(Machine(small_numa(n_sockets=3)))
+    memory = vm.machine.memory
+    for node in (0, 1, 2, 0):
+        vm.touch_pages(memory.allocate(5), node)
+    thread = SimThread(ListWorkSource())
+
+    def per_page(*args):
+        raise AssertionError("mixed-home run took the per-page loop")
+
+    monkeypatch.setattr(vm, "_touch_each", per_page)
+    assert vm.touch_pages(range(2, 18), 1, thread) == 11
+    assert list(thread.pages_by_node.items()) == [(0, 6), (1, 5), (2, 5)]
+    assert vm.nodes_mapping(2) == [0, 1]
+
+
+def _probe_every_socket(machine, now, core, pages):
+    """touch_write as it was: every other socket's L3 is asked to
+    invalidate the written pages."""
+    socket = machine.topology.node_of_core(core)
+    for other, cache in enumerate(machine.caches):
+        if other == socket:
+            continue
+        dropped = cache.invalidate(pages)
+        if dropped:
+            machine.counters.add("l3_invalidations", other, dropped)
+    return machine.touch(now, core, pages)
+
+
+def _never_a_no_op(invalidate):
+    """Wrap a cache's invalidate: every call must drop a page."""
+    def probe(pages):
+        dropped = invalidate(pages)
+        assert dropped, "a socket was probed for pages it does not hold"
+        return dropped
+    return probe
+
+
+def _probe_state(machine):
+    family = machine.counters._families.get("l3_invalidations")
+    return {
+        "invalidations": (None if family is None else
+                          (list(family.slots.items()), list(family.values))),
+        "resident": [cache.resident_runs() for cache in machine.caches],
+        "sizes": [len(cache) for cache in machine.caches],
+    }
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_the_write_probe_drops_what_probing_every_socket_drops(data):
+    """touch_write asks a socket to invalidate only when its resident
+    runs overlap the written pages; it must drop exactly the pages, and
+    count exactly the invalidations, of probing every socket.  Writes
+    land mostly on pages other sockets have read, some of them freed
+    while still resident."""
+    subject = MACHINES[data.draw(st.sampled_from(sorted(MACHINES)))]()
+    n_nodes = subject.topology.n_sockets
+    n_pages = _place(subject.memory, *data.draw(home_maps(n_nodes)))
+    n_cores = len(subject.topology.all_cores())
+    reference = copy.deepcopy(subject)
+    for cache in subject.caches:
+        cache.invalidate = _never_a_no_op(cache.invalidate)
+    now = 0.0
+    for _ in range(data.draw(st.integers(1, 12))):
+        now += 1e-3
+        core = data.draw(st.integers(0, n_cores - 1))
+        op = data.draw(st.sampled_from(["read", "read", "write", "write",
+                                        "free"]))
+        pages = data.draw(machine_batches(n_pages))
+        if op == "free":
+            subject.memory.free(pages)
+            reference.memory.free(pages)
+            continue
+        if op == "read":
+            got = _call(subject.touch, now, core, pages)
+            want = _call(reference.touch, now, core, pages)
+        else:
+            got = _call(subject.touch_write, now, core, pages)
+            want = _call(_probe_every_socket, reference, now, core, pages)
+        assert got == want
+        assert _probe_state(subject) == _probe_state(reference)

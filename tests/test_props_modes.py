@@ -8,6 +8,8 @@ from repro.core.modes import (AdaptivePriorityMode, DenseMode, SparseMode,
                               make_mode)
 from repro.core.priority import NodePriorityQueue
 from repro.hardware.topology import Topology
+from repro.opsys.thread import SimThread
+from repro.opsys.workitem import ListWorkSource
 
 shapes = st.tuples(st.integers(min_value=1, max_value=6),
                    st.integers(min_value=1, max_value=6))
@@ -88,3 +90,49 @@ def test_initial_mask_size_and_uniqueness(shape, k):
     mask = DenseMode(topo).initial_mask(k)
     assert len(mask) == k
     assert len(set(mask)) == k
+
+
+def _walks(mode, topo):
+    """The allocation sequence from an empty mask to the full one, and
+    the release sequence back."""
+    allocated: set[int] = set()
+    grow = []
+    for _ in range(topo.n_cores):
+        core = mode.next_allocation(frozenset(allocated))
+        allocated.add(core)
+        grow.append(core)
+    shrink = []
+    for _ in range(topo.n_cores):
+        core = mode.next_release(frozenset(allocated))
+        allocated.remove(core)
+        shrink.append(core)
+    return grow, shrink
+
+
+@given(shapes, st.data())
+@settings(max_examples=80)
+def test_adaptive_differs_from_dense_exactly_when_the_ranking_does(shape,
+                                                                   data):
+    """Adaptive walks Dense's order when the residency ranking is the
+    node-index order, and a different one whenever it is not."""
+    topo = topo_for(shape)
+    queue = NodePriorityQueue(topo.n_sockets)
+    # per-thread residency histograms (few distinct counts, so ties
+    # are common), or none: the placement histogram then decides
+    threads = []
+    for _ in range(data.draw(st.integers(0, 3))):
+        thread = SimThread(ListWorkSource())
+        thread.pages_by_node = data.draw(st.dictionaries(
+            st.integers(0, topo.n_sockets - 1), st.integers(0, 3)))
+        threads.append(thread)
+    fallback = data.draw(st.lists(st.integers(0, 3),
+                                  min_size=topo.n_sockets,
+                                  max_size=topo.n_sockets))
+    queue.update(threads, fallback=fallback)
+    adaptive = _walks(AdaptivePriorityMode(topo, queue), topo)
+    dense = _walks(DenseMode(topo), topo)
+    if queue.by_priority() == list(range(topo.n_sockets)):
+        assert adaptive == dense
+    else:
+        assert adaptive[0] != dense[0]
+        assert adaptive[1] != dense[1]
